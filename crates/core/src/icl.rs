@@ -15,11 +15,12 @@
 use crate::observe::{self, RunObserver};
 use crate::parse::parse_response;
 use crate::prompt;
+use crate::sampler::fit_embedder;
 use datasculpt_data::{Instance, TextDataset};
 use datasculpt_llm::{ChatModel, LlmError, UsageLedger};
 use datasculpt_text::embed::top_k_similar;
 use datasculpt_text::rng::derive_seed;
-use datasculpt_text::{Embedder, FeatureMatrix, HashedTfIdf, RandomProjection};
+use datasculpt_text::{Embedder, FeatureMatrix, RandomProjection};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -158,13 +159,10 @@ impl IclSelector {
                 SelectorState::Balanced(balanced)
             }
             IclStrategy::Kate => {
-                let mut tfidf = HashedTfIdf::new(2048, 1);
-                tfidf.fit(dataset.valid.iter().map(|i| i.tokens.as_slice()));
-                let emb = RandomProjection::new(tfidf, 64, derive_seed(seed, 0x4A7E));
-                let matrix = emb.embed_batch(dataset.valid.iter().map(|i| i.tokens.as_slice()));
+                let (embedder, valid_embeddings) = fit_embedder(dataset.valid.iter(), seed, 0x4A7E);
                 SelectorState::Kate {
-                    embedder: Box::new(emb),
-                    valid_embeddings: matrix,
+                    embedder: Box::new(embedder),
+                    valid_embeddings,
                 }
             }
         };

@@ -1,5 +1,6 @@
 //! The growing LF set, with incremental filtering.
 
+use crate::corpus::{split_indexes, Corpus};
 use crate::filter::{consensus, AddOutcome, FilterConfig};
 use crate::index::NgramIndex;
 use crate::lf::KeywordLf;
@@ -8,6 +9,7 @@ use datasculpt_exec::Pool;
 use datasculpt_labelmodel::{LabelMatrix, ABSTAIN};
 use datasculpt_text::TokenArena;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A candidate memo key: interned keyword symbol, label, anchoring flag.
 type CandidateKey = (u32, usize, bool);
@@ -22,13 +24,17 @@ type CandidateKey = (u32, usize, bool);
 /// the §3.5 filters incrementally: validity structurally, accuracy against
 /// the labeled validation split, redundancy against the already-accepted
 /// columns on the train split.
+///
+/// The split indexes are read-only and held by `Arc`: a set built
+/// [`over`](LfSet::over) a [`Corpus`] shares the corpus's indexes, and
+/// cloning a set never copies them.
 #[derive(Debug, Clone)]
 pub struct LfSet {
     lfs: Vec<KeywordLf>,
     train_votes: LabelMatrix,
     valid_votes: LabelMatrix,
-    train_index: NgramIndex,
-    valid_index: NgramIndex,
+    train_index: Arc<NgramIndex>,
+    valid_index: Arc<NgramIndex>,
     valid_labels: Vec<Option<usize>>,
     n_classes: usize,
     filters: FilterConfig,
@@ -66,10 +72,31 @@ pub struct RejectionCounts {
 }
 
 impl LfSet {
-    /// An empty set over a dataset (indexes the train and valid splits).
+    /// An empty set over a dataset, with private indexes of its train and
+    /// valid splits.
     pub fn new(dataset: &TextDataset, filters: FilterConfig) -> Self {
-        let train_index = NgramIndex::build(&dataset.train);
-        let valid_index = NgramIndex::build(&dataset.valid);
+        let (train_index, valid_index) = split_indexes(dataset);
+        Self::with_indexes(dataset, train_index, valid_index, filters)
+    }
+
+    /// An empty set over a corpus, sharing its indexes. Offers get the
+    /// same outcomes and vote columns as on [`LfSet::new`] over the
+    /// corpus's dataset.
+    pub fn over(corpus: &Corpus, filters: FilterConfig) -> Self {
+        Self::with_indexes(
+            corpus.dataset(),
+            corpus.train_index().clone(),
+            corpus.valid_index().clone(),
+            filters,
+        )
+    }
+
+    fn with_indexes(
+        dataset: &TextDataset,
+        train_index: Arc<NgramIndex>,
+        valid_index: Arc<NgramIndex>,
+        filters: FilterConfig,
+    ) -> Self {
         Self {
             lfs: Vec::new(),
             train_votes: LabelMatrix::empty(train_index.len(), 0),

@@ -20,10 +20,15 @@
 //! [`eval`] then runs the standard PWS tail: label model → probabilistic
 //! labels (+ the default-class rule of §3.6) → end model → the metrics of
 //! Tables 2–5.
+//!
+//! A [`corpus::Corpus`] bundles a dataset with the [`index`]es of its
+//! train and valid splits, so that many runs over one dataset build them
+//! once ([`DataSculpt::over`](pipeline::DataSculpt::over)).
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod consistency;
+pub mod corpus;
 pub mod eval;
 pub mod filter;
 pub mod icl;
@@ -37,6 +42,7 @@ pub mod prompt;
 pub mod sampler;
 
 pub use consistency::aggregate_consistency;
+pub use corpus::Corpus;
 pub use eval::{evaluate_lf_set, EndModelKind, EvalConfig, LabelModelKind, LfStats, PwsEvaluation};
 pub use filter::{AddOutcome, FilterConfig};
 pub use icl::{Exemplar, IclStrategy};

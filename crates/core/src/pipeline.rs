@@ -21,6 +21,7 @@
 //! row.
 
 use crate::consistency::aggregate_consistency;
+use crate::corpus::Corpus;
 use crate::filter::FilterConfig;
 use crate::icl::{IclSelector, IclStrategy};
 use crate::lf::KeywordLf;
@@ -345,12 +346,20 @@ struct RunContext<'d, 'o> {
 }
 
 impl<'d, 'o> RunContext<'d, 'o> {
-    fn new(dataset: &'d TextDataset, cfg: DataSculptConfig, obs: &'o mut dyn RunObserver) -> Self {
+    fn new(
+        dataset: &'d TextDataset,
+        corpus: Option<&Corpus>,
+        cfg: DataSculptConfig,
+        obs: &'o mut dyn RunObserver,
+    ) -> Self {
+        let lf_set = match corpus {
+            Some(corpus) => LfSet::over(corpus, cfg.filters),
+            None => LfSet::new(dataset, cfg.filters),
+        };
         RunContext {
             dataset,
             cfg,
-            lf_set: LfSet::new(dataset, cfg.filters)
-                .with_pool(datasculpt_exec::Pool::new(cfg.threads)),
+            lf_set: lf_set.with_pool(datasculpt_exec::Pool::new(cfg.threads)),
             ledger: UsageLedger::new(),
             icl: IclSelector::new(dataset, cfg.icl_strategy, cfg.n_icl, cfg.seed),
             sampler: make_sampler(cfg.sampler, dataset, cfg.seed),
@@ -600,11 +609,15 @@ impl<'d, 'o> RunContext<'d, 'o> {
 /// Figure 1.
 pub struct DataSculpt<'a> {
     dataset: &'a TextDataset,
+    /// Where the LF set's indexes come from; `None` builds private ones
+    /// when the run starts.
+    corpus: Option<&'a Corpus>,
     config: DataSculptConfig,
 }
 
 impl<'a> DataSculpt<'a> {
-    /// Set up a run over a dataset.
+    /// Set up a run over a dataset. The run indexes the train and valid
+    /// splits itself when it starts.
     pub fn new(dataset: &'a TextDataset, config: DataSculptConfig) -> Self {
         assert!(config.num_queries > 0, "need at least one query");
         assert!(config.samples_per_query > 0, "need at least one sample");
@@ -612,7 +625,20 @@ impl<'a> DataSculpt<'a> {
             config.max_consecutive_failures > 0,
             "need a nonzero failure limit"
         );
-        Self { dataset, config }
+        Self {
+            dataset,
+            corpus: None,
+            config,
+        }
+    }
+
+    /// Set up a run over a corpus, sharing its indexes. The run's digest
+    /// equals that of [`DataSculpt::new`] over the corpus's dataset.
+    pub fn over(corpus: &'a Corpus, config: DataSculptConfig) -> Self {
+        Self {
+            corpus: Some(corpus),
+            ..Self::new(corpus.dataset(), config)
+        }
     }
 
     /// Execute the full run against a chat model, unobserved.
@@ -672,7 +698,7 @@ impl<'a> DataSculpt<'a> {
             queries: self.config.num_queries as u64,
             seed: self.config.seed,
         });
-        let mut ctx = RunContext::new(self.dataset, self.config, obs);
+        let mut ctx = RunContext::new(self.dataset, self.corpus, self.config, obs);
         let mut consecutive_failures = 0usize;
         for _ in 0..self.config.num_queries {
             let iter = ctx.iterations.len() as u64;

@@ -1,7 +1,7 @@
 //! Query-instance selection (§3.4): random, uncertainty, SEU.
 
 use crate::lfset::LfSet;
-use datasculpt_data::TextDataset;
+use datasculpt_data::{Instance, TextDataset};
 use datasculpt_endmodel::{entropy, SoftmaxRegression, TrainConfig};
 use datasculpt_labelmodel::{LabelModel, MajorityVote};
 use datasculpt_text::rng::derive_seed;
@@ -104,6 +104,25 @@ impl QuerySampler for RandomSampler {
 /// on 96k-instance corpora).
 const POOL_CAP: usize = 2000;
 
+/// Fit the embedder the samplers and KATE share — a 2048-bucket unigram
+/// TF-IDF over `rows`, randomly projected to 64 dimensions under
+/// `derive_seed(seed, salt)` — and embed `rows` with it, in order.
+pub(crate) fn fit_embedder<'a, I>(
+    rows: I,
+    seed: u64,
+    salt: u64,
+) -> (RandomProjection, FeatureMatrix)
+where
+    I: Iterator<Item = &'a Instance> + Clone,
+{
+    let tokens = rows.map(|inst| inst.tokens.as_slice());
+    let mut tfidf = HashedTfIdf::new(2048, 1);
+    tfidf.fit(tokens.clone());
+    let embedder = RandomProjection::new(tfidf, 64, derive_seed(seed, salt));
+    let embeddings = embedder.embed_batch(tokens);
+    (embedder, embeddings)
+}
+
 /// Uncertainty sampling: retrain a small end model on the current weak
 /// labels every few iterations and pick the unqueried pool instance with
 /// the highest predictive entropy.
@@ -123,18 +142,8 @@ impl UncertainSampler {
         let mut pool: Vec<usize> = (0..dataset.train.len()).collect();
         pool.shuffle(&mut rng);
         pool.truncate(POOL_CAP);
-        let toks = |&i: &usize| {
-            dataset
-                .train
-                .instances
-                .get(i)
-                .map(|inst| inst.tokens.as_slice())
-                .unwrap_or(&[])
-        };
-        let mut tfidf = HashedTfIdf::new(2048, 1);
-        tfidf.fit(pool.iter().map(toks));
-        let embedder = RandomProjection::new(tfidf, 64, derive_seed(seed, 0x0CE3));
-        let embeddings = embedder.embed_batch(pool.iter().map(toks));
+        let rows = pool.iter().filter_map(|&i| dataset.train.instances.get(i));
+        let (_, embeddings) = fit_embedder(rows, seed, 0x0CE3);
         let entropy_cache = vec![f64::MAX; pool.len()];
         Self {
             rng,
@@ -359,18 +368,8 @@ impl CoreSetSampler {
         let mut pool: Vec<usize> = (0..dataset.train.len()).collect();
         pool.shuffle(&mut rng);
         pool.truncate(POOL_CAP);
-        let toks = |&i: &usize| {
-            dataset
-                .train
-                .instances
-                .get(i)
-                .map(|inst| inst.tokens.as_slice())
-                .unwrap_or(&[])
-        };
-        let mut tfidf = HashedTfIdf::new(2048, 1);
-        tfidf.fit(pool.iter().map(toks));
-        let embedder = RandomProjection::new(tfidf, 64, derive_seed(seed, 0xC0DF));
-        let embeddings = embedder.embed_batch(pool.iter().map(toks));
+        let rows = pool.iter().filter_map(|&i| dataset.train.instances.get(i));
+        let (_, embeddings) = fit_embedder(rows, seed, 0xC0DF);
         Self {
             rng,
             pool,

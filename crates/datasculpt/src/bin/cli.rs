@@ -463,7 +463,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     let retry = RetryModel::new(sim, retries).with_observer(obs.shared.clone());
     if durable {
-        return run_durably(&dataset, config, model, seed, retry, &mut obs, &flags);
+        return run_durably(dataset, config, model, seed, retry, &mut obs, &flags);
     }
     let cache: usize = match flags.parse_strict("--cache", 0usize) {
         Ok(v) => v,
@@ -481,7 +481,7 @@ fn run(args: &[String]) -> ExitCode {
 /// The `--store`/`--resume` path: wrap the backend in the disk store and
 /// checkpointer (`docs/persistence.md`) and run via the durable runner.
 fn run_durably<M: ChatModel>(
-    dataset: &TextDataset,
+    dataset: TextDataset,
     config: DataSculptConfig,
     model: ModelId,
     seed: u64,
@@ -518,11 +518,12 @@ fn run_durably<M: ChatModel>(
         require_existing: resume.is_some(),
     };
     let observer = Some(obs.shared.clone());
+    let corpus = Corpus::build(dataset);
     let outcome = if flags.has("--inject-crash-after") {
         let doomed = KillAfter::aborting_process(backend, crash_after);
-        run_durable(dataset, &fingerprint, doomed, &dir, &opts, observer)
+        run_durable(&corpus, &fingerprint, doomed, &dir, &opts, observer)
     } else {
-        run_durable(dataset, &fingerprint, backend, &dir, &opts, observer)
+        run_durable(&corpus, &fingerprint, backend, &dir, &opts, observer)
     };
     let outcome = match outcome {
         Ok(outcome) => outcome,
@@ -544,7 +545,7 @@ fn run_durably<M: ChatModel>(
         outcome.store_stats.misses,
         datasculpt::obs::cost::format_usd(outcome.billed_nanousd)
     );
-    report_run(dataset, config, &outcome.result, obs, flags)
+    report_run(corpus.dataset(), config, &outcome.result, obs, flags)
 }
 
 fn execute_run<M: ChatModel>(

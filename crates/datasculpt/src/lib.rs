@@ -65,9 +65,9 @@ pub mod prelude {
         wrench_expert_lfs, wrench_lf_count,
     };
     pub use datasculpt_core::{
-        evaluate_lf_set, AddOutcome, DataSculpt, DataSculptConfig, EndModelKind, EvalConfig,
-        FilterConfig, IclStrategy, KeywordLf, LabelModelKind, LfSet, LfStats, PipelineError,
-        PromptStyle, PwsEvaluation, RunResult, SamplerKind,
+        evaluate_lf_set, AddOutcome, Corpus, DataSculpt, DataSculptConfig, EndModelKind,
+        EvalConfig, FilterConfig, IclStrategy, KeywordLf, LabelModelKind, LfSet, LfStats,
+        PipelineError, PromptStyle, PwsEvaluation, RunResult, SamplerKind,
     };
     pub use datasculpt_data::{DatasetName, Instance, Metric, Split, TextDataset};
     pub use datasculpt_endmodel::{SoftmaxRegression, TrainConfig};

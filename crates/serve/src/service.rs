@@ -12,14 +12,18 @@
 //!    stay paused without consuming a slot.
 //! 2. **Execute**: admitted jobs run concurrently on the
 //!    [`datasculpt_exec::Pool`], each as a durable run in its own
-//!    directory (`<state>/jobs/<id>/`) behind a [`BudgetGate`]. The pool
-//!    collects results in plan order, so commit order is deterministic.
+//!    directory (`<state>/jobs/<id>/`) behind a [`BudgetGate`], over the
+//!    [`Corpus`] of its (dataset, seed, scale) key. The first worker that
+//!    needs a key builds its corpus; jobs sharing the key wait on that one
+//!    build and then share it. The pool collects results in plan order, so
+//!    commit order is deterministic.
 //! 3. **Commit** (single-threaded, in plan order): classify each
 //!    outcome (completed / paused / cancelled / failed), append the
 //!    durable registry transition, and emit the job's trace events —
 //!    a `job` stage span wrapping the job's exact per-model usage, plus
 //!    the `job_admit` / `job_reject_budget` / `job_pause` /
-//!    `job_complete` counters.
+//!    `job_complete` counters. Cached corpora that no queued, running or
+//!    paused job refers to any more are then dropped.
 //!
 //! A daemon crash at any point loses nothing: submits and transitions
 //! are in the synced registry, every job's LLM responses and iteration
@@ -31,7 +35,7 @@
 use crate::budget::{BudgetGate, TenantAccount, TenantBook, CANCEL_PREFIX, PAUSE_PREFIX};
 use crate::job::{JobSpec, JobState, JobStatus};
 use crate::registry::{JobRegistry, RegistryRecord};
-use datasculpt_core::IterationCheckpoint;
+use datasculpt_core::{Corpus, IterationCheckpoint};
 use datasculpt_data::TextDataset;
 use datasculpt_exec::Pool;
 use datasculpt_llm::{ChatModel, ModelId, PricingTable, SimulatedLlm, UsageLedger};
@@ -40,10 +44,10 @@ use datasculpt_store::{
     run_durable_gated, DurableError, DurableOptions, DurableOutcome, IterationGate, KillSwitch,
     StoreError,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Subdirectory of the state dir holding one durable run dir per job.
 pub const JOBS_DIR: &str = "jobs";
@@ -146,15 +150,25 @@ impl RoundReport {
 }
 
 /// Builds one backend per job execution. The factory runs *inside* the
-/// pool worker, so a crash-injection wrapper (sharing a [`KillSwitch`])
-/// can be threaded in by tests without the service knowing.
+/// pool worker, after the job's corpus is ready, so a crash-injection
+/// wrapper (sharing a [`KillSwitch`]) can be threaded in by tests without
+/// the service knowing.
 pub type BackendFactory =
     Arc<dyn Fn(&JobSpec, &TextDataset) -> Box<dyn ChatModel + Send> + Send + Sync>;
+
+/// A job's corpus cache key: dataset name, seed, and scale as `f64` bits.
+type CorpusKey = (String, u64, u64);
+
+/// One corpus cache slot. The first pool worker that needs it runs the
+/// build; workers of the same round with the same key block until that
+/// build is done. A failed build keeps its error, which fails the jobs
+/// that asked for it and no others.
+type CorpusCell = Arc<OnceLock<Result<Corpus, String>>>;
 
 /// Everything a pool worker needs to run one admitted job.
 struct ExecEntry {
     spec: JobSpec,
-    dataset: Arc<TextDataset>,
+    corpus: CorpusCell,
     dir: PathBuf,
     cancel: Arc<AtomicBool>,
     progress: Arc<Mutex<JobProgress>>,
@@ -224,7 +238,10 @@ pub struct Service {
     needed: BTreeMap<u64, u128>,
     cancels: BTreeMap<u64, Arc<AtomicBool>>,
     book: Arc<Mutex<TenantBook>>,
-    datasets: BTreeMap<(String, u64, u64), Arc<TextDataset>>,
+    /// One corpus per key of a queued, running or paused job that has
+    /// been scheduled; see [`Service::cached_corpora`].
+    corpora: BTreeMap<CorpusKey, CorpusCell>,
+    corpus_builds: Arc<AtomicU64>,
     factory: BackendFactory,
     observer: Option<SharedObserver>,
     kill: Option<KillSwitch>,
@@ -314,7 +331,8 @@ impl Service {
             needed,
             cancels: BTreeMap::new(),
             book: Arc::new(Mutex::new(book)),
-            datasets: BTreeMap::new(),
+            corpora: BTreeMap::new(),
+            corpus_builds: Arc::new(AtomicU64::new(0)),
             factory: Arc::new(|spec, dataset| {
                 // Specs are validated at submit, so the model parse
                 // cannot fail here; fall back defensively anyway.
@@ -368,6 +386,18 @@ impl Service {
         &self.state_dir
     }
 
+    /// Corpora held in memory right now. Between rounds this is at most
+    /// the number of distinct (dataset, seed, scale) keys among queued,
+    /// running and paused jobs.
+    pub fn cached_corpora(&self) -> usize {
+        self.corpora.len()
+    }
+
+    /// Corpus builds this service has run since it was opened.
+    pub fn corpus_builds(&self) -> u64 {
+        self.corpus_builds.load(Ordering::Relaxed)
+    }
+
     /// Submit a job: validate, durably record, top up the tenant budget,
     /// and queue. Budget admission happens at scheduling time.
     pub fn submit(&mut self, request: JobRequest) -> Result<JobStatus, ServeError> {
@@ -418,6 +448,7 @@ impl Service {
             }
         } else {
             self.transition(id, JobState::Cancelled, "cancelled before running")?;
+            self.evict_idle_corpora();
         }
         self.jobs
             .get(&id)
@@ -510,13 +541,19 @@ impl Service {
     pub fn run_round(&mut self) -> Result<RoundReport, ServeError> {
         let mut report = RoundReport::default();
         let planned = self.plan_round(&mut report)?;
-        if planned.is_empty() {
-            return Ok(report);
+        if !planned.is_empty() {
+            self.execute(&planned, &mut report)?;
         }
-        let entries = self.prepare_entries(&planned)?;
+        self.evict_idle_corpora();
+        Ok(report)
+    }
 
+    /// Execute and commit the planned jobs.
+    fn execute(&mut self, planned: &[u64], report: &mut RoundReport) -> Result<(), ServeError> {
+        let entries = self.prepare_entries(planned);
         let factory = self.factory.clone();
         let book = self.book.clone();
+        let builds = self.corpus_builds.clone();
         let opts = DurableOptions {
             checkpoint_every: self.config.checkpoint_every,
             kill: self.kill.clone(),
@@ -527,10 +564,12 @@ impl Service {
             .try_run(entries.len(), |i| {
                 // ds-lint: allow(unchecked-index): try_run passes i < entries.len()
                 let entry = &entries[i];
-                let fingerprint = match entry.spec.fingerprint() {
-                    Ok(fp) => fp,
-                    Err(e) => return Err(JobError::Other(e)),
-                };
+                let corpus = entry.corpus.get_or_init(|| {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    entry.spec.load_dataset().map(Corpus::build)
+                });
+                let corpus = corpus.as_ref().map_err(|e| JobError::Other(e.clone()))?;
+                let fingerprint = entry.spec.fingerprint().map_err(JobError::Other)?;
                 let mut gate = TrackedGate {
                     inner: BudgetGate::new(
                         &entry.spec.tenant,
@@ -540,9 +579,9 @@ impl Service {
                     ),
                     progress: entry.progress.clone(),
                 };
-                let backend = factory(&entry.spec, &entry.dataset);
+                let backend = factory(&entry.spec, corpus.dataset());
                 run_durable_gated(
-                    &entry.dataset,
+                    corpus,
                     &fingerprint,
                     backend,
                     &entry.dir,
@@ -554,10 +593,10 @@ impl Service {
             })
             .map_err(|p| ServeError::Invalid(format!("job worker panicked: {p}")))?;
 
-        for (entry, outcome) in entries.iter().zip(outcomes) {
-            self.commit_outcome(entry, outcome, &mut report)?;
+        for (entry, outcome) in entries.into_iter().zip(outcomes) {
+            self.commit_outcome(&entry, outcome, report)?;
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Plan phase: admission control + fair selection. Returns admitted
@@ -644,25 +683,21 @@ impl Service {
         Ok(admitted)
     }
 
-    /// Build the execution entries (datasets loaded and cached on the
-    /// scheduler thread; cancel flags and progress cells shared with the
-    /// gates).
-    fn prepare_entries(&mut self, planned: &[u64]) -> Result<Vec<ExecEntry>, ServeError> {
+    /// Build the execution entries: each job's corpus cell (found in the
+    /// cache or added to it empty, for a worker to fill), and the cancel
+    /// flags and progress cells shared with the gates.
+    fn prepare_entries(&mut self, planned: &[u64]) -> Vec<ExecEntry> {
         let mut entries = Vec::with_capacity(planned.len());
         for &id in planned {
             let Some(status) = self.jobs.get(&id) else {
                 continue;
             };
             let spec = status.spec.clone();
-            let key = (spec.dataset.clone(), spec.seed, spec.scale_bits);
-            let dataset = match self.datasets.get(&key) {
-                Some(d) => d.clone(),
-                None => {
-                    let loaded = Arc::new(spec.load_dataset().map_err(ServeError::Invalid)?);
-                    self.datasets.insert(key, loaded.clone());
-                    loaded
-                }
-            };
+            let corpus = self
+                .corpora
+                .entry((spec.dataset.clone(), spec.seed, spec.scale_bits))
+                .or_default()
+                .clone();
             let cancel = self
                 .cancels
                 .entry(id)
@@ -674,12 +709,28 @@ impl Service {
                     .join(JOBS_DIR)
                     .join(format!("{:08}", spec.id)),
                 spec,
-                dataset,
+                corpus,
                 cancel,
                 progress: Arc::new(Mutex::new(JobProgress::default())),
             });
         }
-        Ok(entries)
+        entries
+    }
+
+    /// Drop every cached corpus whose key no queued, running or paused
+    /// job has, so memory tracks the live keys rather than every key seen.
+    fn evict_idle_corpora(&mut self) {
+        if self.corpora.is_empty() {
+            return;
+        }
+        let live: BTreeSet<(&str, u64, u64)> = self
+            .jobs
+            .values()
+            .filter(|s| !s.state.is_terminal())
+            .map(|s| (s.spec.dataset.as_str(), s.spec.seed, s.spec.scale_bits))
+            .collect();
+        self.corpora
+            .retain(|(dataset, seed, bits), _| live.contains(&(dataset.as_str(), *seed, *bits)));
     }
 
     /// Commit phase for one executed job (runs on the scheduler thread,

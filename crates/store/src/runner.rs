@@ -20,8 +20,9 @@ use crate::disk_cache::DiskCachedModel;
 use crate::inject::KillSwitch;
 use crate::store::ResponseStore;
 use crate::StoreError;
-use datasculpt_core::{CheckpointSink, DataSculpt, IterationCheckpoint, PipelineError, RunResult};
-use datasculpt_data::TextDataset;
+use datasculpt_core::{
+    CheckpointSink, Corpus, DataSculpt, IterationCheckpoint, PipelineError, RunResult,
+};
 use datasculpt_llm::cache::CacheStats;
 use datasculpt_llm::ChatModel;
 use datasculpt_obs::{Event, NoopObserver, RunObserver, SharedObserver, Stage};
@@ -155,31 +156,31 @@ impl CheckpointSink for GatedSink<'_, '_> {
     }
 }
 
-/// Run DataSculpt durably in `dir`, resuming from whatever state the
-/// directory already holds.
+/// Run DataSculpt durably in `dir` over `corpus` (sharing its indexes),
+/// resuming from whatever state the directory already holds.
 ///
 /// The configuration comes from `fingerprint.config`; the fingerprint's
-/// identity fields must describe `dataset` and `backend` (they are what a
-/// later resume is checked against). `backend` is wrapped in a
+/// identity fields must describe the corpus's dataset and `backend` (they
+/// are what a later resume is checked against). `backend` is wrapped in a
 /// [`DiskCachedModel`] — pass it *unwrapped* (retry middleware is fine;
 /// an in-memory cache on top would change which calls reach the disk
 /// layer between the original run and its resume).
 pub fn run_durable<M: ChatModel>(
-    dataset: &TextDataset,
+    corpus: &Corpus,
     fingerprint: &RunFingerprint,
     backend: M,
     dir: &Path,
     opts: &DurableOptions,
     observer: Option<SharedObserver>,
 ) -> Result<DurableOutcome, DurableError> {
-    run_durable_gated(dataset, fingerprint, backend, dir, opts, observer, None)
+    run_durable_gated(corpus, fingerprint, backend, dir, opts, observer, None)
 }
 
 /// [`run_durable`] with an optional [`IterationGate`] consulted after
 /// every durable iteration snapshot — the serving daemon's budget
 /// admission hook.
 pub fn run_durable_gated<M: ChatModel>(
-    dataset: &TextDataset,
+    corpus: &Corpus,
     fingerprint: &RunFingerprint,
     backend: M,
     dir: &Path,
@@ -249,7 +250,7 @@ pub fn run_durable_gated<M: ChatModel>(
         gate,
     };
     let result =
-        DataSculpt::new(dataset, fingerprint.config).run_durable(&mut model, obs, &mut sink)?;
+        DataSculpt::over(corpus, fingerprint.config).run_durable(&mut model, obs, &mut sink)?;
 
     Ok(DurableOutcome {
         result,
@@ -292,7 +293,7 @@ mod tests {
     use crate::framing::tests::tempdir;
     use crate::inject::KillAfter;
     use datasculpt_core::DataSculptConfig;
-    use datasculpt_data::DatasetName;
+    use datasculpt_data::{DatasetName, TextDataset};
     use datasculpt_llm::{ModelId, SimulatedLlm};
 
     fn config() -> DataSculptConfig {
@@ -318,16 +319,17 @@ mod tests {
 
     #[test]
     fn fresh_durable_run_matches_a_plain_run() {
-        let d = DatasetName::Youtube.load_scaled(21, 0.1);
+        let c = Corpus::build(DatasetName::Youtube.load_scaled(21, 0.1));
+        let d = c.dataset();
         let cfg = config();
-        let mut plain_llm = backend(&d);
-        let plain = DataSculpt::new(&d, cfg).run(&mut plain_llm).unwrap();
+        let mut plain_llm = backend(d);
+        let plain = DataSculpt::new(d, cfg).run(&mut plain_llm).unwrap();
 
         let dir = tempdir();
         let outcome = run_durable(
-            &d,
+            &c,
             &fingerprint(cfg),
-            backend(&d),
+            backend(d),
             &dir,
             &DurableOptions::default(),
             None,
@@ -344,15 +346,16 @@ mod tests {
 
     #[test]
     fn crash_and_resume_reproduces_the_uninterrupted_run() {
-        let d = DatasetName::Youtube.load_scaled(21, 0.1);
+        let c = Corpus::build(DatasetName::Youtube.load_scaled(21, 0.1));
+        let d = c.dataset();
         let cfg = config();
         let fp = fingerprint(cfg);
 
         let dir_a = tempdir();
         let baseline = run_durable(
-            &d,
+            &c,
             &fp,
-            backend(&d),
+            backend(d),
             &dir_a,
             &DurableOptions::default(),
             None,
@@ -362,10 +365,10 @@ mod tests {
         // Kill a second run mid-flight after 3 backend calls: every later
         // iteration fails, tripping the consecutive-failure limit.
         let dir_b = tempdir();
-        let doomed = KillAfter::new(backend(&d), 3, KillSwitch::new());
+        let doomed = KillAfter::new(backend(d), 3, KillSwitch::new());
         let switch = doomed.switch();
         let crashed = run_durable(
-            &d,
+            &c,
             &fp,
             doomed,
             &dir_b,
@@ -383,9 +386,9 @@ mod tests {
         // Resume with a fresh backend: bit-identical result, and the two
         // processes together billed exactly what the baseline did.
         let resumed = run_durable(
-            &d,
+            &c,
             &fp,
-            backend(&d),
+            backend(d),
             &dir_b,
             &DurableOptions {
                 require_existing: true,
@@ -409,9 +412,9 @@ mod tests {
 
         // A second resume of the now-complete directory re-bills nothing.
         let replayed = run_durable(
-            &d,
+            &c,
             &fp,
-            backend(&d),
+            backend(d),
             &dir_b,
             &DurableOptions {
                 require_existing: true,
@@ -429,13 +432,14 @@ mod tests {
 
     #[test]
     fn require_existing_refuses_an_empty_directory() {
-        let d = DatasetName::Youtube.load_scaled(21, 0.1);
+        let c = Corpus::build(DatasetName::Youtube.load_scaled(21, 0.1));
+        let d = c.dataset();
         let cfg = config();
         let dir = tempdir();
         let err = run_durable(
-            &d,
+            &c,
             &fingerprint(cfg),
-            backend(&d),
+            backend(d),
             &dir,
             &DurableOptions {
                 require_existing: true,

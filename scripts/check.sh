@@ -7,6 +7,19 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> committed result CSVs cover all six datasets"
+# ablation_design.csv covers three datasets by design and is exempt.
+for csv in results/table2.csv results/table3.csv results/table4.csv \
+           results/table5.csv results/fig3_tokens.csv results/fig4_cost.csv; do
+  header="$(head -n 1 "$csv")"
+  for dataset in youtube sms imdb yelp agnews spouse; do
+    case ",$header," in
+      *",$dataset,"*) ;;
+      *) echo "FAIL: $csv has no $dataset column (header: $header)" >&2; exit 1 ;;
+    esac
+  done
+done
+
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -26,8 +26,8 @@ fn tempdir(tag: &str) -> PathBuf {
     ))
 }
 
-fn dataset() -> TextDataset {
-    DatasetName::Youtube.load_scaled(21, 0.1)
+fn corpus() -> Corpus {
+    Corpus::build(DatasetName::Youtube.load_scaled(21, 0.1))
 }
 
 fn config() -> DataSculptConfig {
@@ -47,8 +47,8 @@ fn fingerprint() -> RunFingerprint {
     }
 }
 
-fn backend(d: &TextDataset) -> SimulatedLlm {
-    SimulatedLlm::new(ModelId::Gpt35Turbo, d.generative.clone(), 13)
+fn backend(d: &Corpus) -> SimulatedLlm {
+    SimulatedLlm::new(ModelId::Gpt35Turbo, d.dataset().generative.clone(), 13)
 }
 
 /// Exact nano-USD the dead process paid for: the cost of every response it
@@ -69,7 +69,7 @@ fn stored_cost_nanousd(dir: &std::path::Path) -> u128 {
 /// and require bit-identical results and exact billing arithmetic.
 #[test]
 fn killed_at_every_backend_call_a_run_resumes_bit_identically() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
 
     let dir = tempdir("baseline");
@@ -181,7 +181,7 @@ fn observed(events: &CaptureSink) -> SharedObserver {
 /// uninterrupted run's, once store/checkpoint bookkeeping is set aside.
 #[test]
 fn resumed_trace_replays_the_uninterrupted_trace() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
 
     let baseline_events = CaptureSink::default();
@@ -241,7 +241,7 @@ fn resumed_trace_replays_the_uninterrupted_trace() {
 /// truncated away and its response re-billed exactly once.
 #[test]
 fn torn_response_tail_resumes_bit_identically() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
 
     let dir_a = tempdir("torn_base");
@@ -318,7 +318,7 @@ fn counter_total(events: &[Event], want: Counter) -> u64 {
 /// double-counted while the resume replays iterations.
 #[test]
 fn store_counters_match_cache_stats_across_a_resume() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
 
     let baseline_events = CaptureSink::default();
@@ -381,7 +381,7 @@ fn store_counters_match_cache_stats_across_a_resume() {
 /// the run produces.
 #[test]
 fn sparse_checkpoint_cadence_resumes_bit_identically() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
 
     let dir_a = tempdir("cadence_base");
@@ -441,7 +441,7 @@ fn sparse_checkpoint_cadence_resumes_bit_identically() {
 /// fully-complete durable directory replays everything for free.
 #[test]
 fn complete_directory_replays_for_free() {
-    let d = dataset();
+    let d = corpus();
     let fp = fingerprint();
     let dir = tempdir("free");
     let first = run_durable(&d, &fp, backend(&d), &dir, &DurableOptions::default(), None).unwrap();

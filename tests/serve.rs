@@ -1,6 +1,6 @@
 //! Tier-1: the multi-tenant labeling service (`datasculpt-serve`).
 //!
-//! Three contracts from `docs/serving.md` are pinned here:
+//! Four contracts from `docs/serving.md` are pinned here:
 //!
 //! 1. **Exact cost partition** — with N concurrent jobs over the scripted
 //!    simulated backend, the per-job ledgers, the per-tenant ledgers, the
@@ -14,10 +14,15 @@
 //!    same state dir re-queues every in-flight job and finishes all of
 //!    them bit-identically to an uninterrupted service, with the same
 //!    exact per-tenant cost partition.
+//! 4. **Corpus cache** — jobs on one (dataset, seed, scale) key share one
+//!    corpus build and still match solo durable runs exactly; a drained
+//!    service keeps corpora only for the keys of paused jobs; a key that
+//!    fails to build fails only the jobs on it.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use datasculpt::prelude::*;
+use datasculpt::serve::JobRegistry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -274,5 +279,202 @@ fn killed_daemon_resumes_all_jobs_bit_identically() {
             "tenant '{tenant}' spend after crash-resume"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `spec` run alone through `run_durable` on a private corpus, with the
+/// backend the service installs by default.
+fn solo_run(spec: &JobSpec, dir: &Path) -> DurableOutcome {
+    let corpus = Corpus::build(spec.load_dataset().expect("dataset"));
+    let backend = SimulatedLlm::new(
+        spec.model_id().expect("model"),
+        corpus.dataset().generative.clone(),
+        spec.seed,
+    );
+    let fingerprint = spec.fingerprint().expect("fingerprint");
+    run_durable(
+        &corpus,
+        &fingerprint,
+        backend,
+        dir,
+        &DurableOptions::default(),
+        None,
+    )
+    .expect("solo run")
+}
+
+#[test]
+fn jobs_sharing_a_corpus_match_solo_durable_runs() {
+    let dir = tempdir("shared");
+    let mut service = Service::open(
+        &dir.join("state"),
+        ServeConfig {
+            slots: 2,
+            checkpoint_every: 1,
+        },
+    )
+    .expect("open");
+    // Five jobs on one key, differing in tenant, preset and size. With
+    // two slots, the first two rounds each run two of them at once.
+    for (tenant, config, queries) in [
+        ("acme", "base", 3),
+        ("globex", "cot", 2),
+        ("acme", "sc", 2),
+        ("initech", "base", 1),
+        ("globex", "cot", 3),
+    ] {
+        let req = JobRequest {
+            config: config.to_string(),
+            ..request(tenant, 5, queries, AMPLE)
+        };
+        service.submit(req).expect("submit");
+    }
+    let report = service.drain().expect("drain");
+    assert_eq!(report.completed, 5, "{report:?}");
+    assert_eq!(service.corpus_builds(), 1, "one key, one build");
+    assert_eq!(service.cached_corpora(), 0, "no unfinished job is left");
+
+    for job in service.jobs() {
+        let solo = solo_run(&job.spec, &dir.join(format!("solo-{}", job.spec.id)));
+        assert_eq!(job.digest, solo.result.digest(), "job {}", job.spec.id);
+        assert_eq!(job.cost_nanousd, solo.result.ledger.total_cost_nanousd());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn drained_service_keeps_corpora_only_for_paused_jobs() {
+    let dir = tempdir("evict");
+    let mut service = Service::open(&dir.join("state"), ServeConfig::default()).expect("open");
+    for req in [
+        request("acme", 11, 2, AMPLE),
+        request("acme", 11, 1, AMPLE),
+        request("globex", 12, 2, AMPLE),
+        // Paused after one iteration, on a key the ample jobs also use.
+        request("cheap", 11, 3, 1_000),
+        // Paused after one iteration, on a key of its own.
+        request("thrifty", 13, 3, 1_000),
+        // Rejected at admission: never builds its key.
+        request("freeloader", 14, 2, 0),
+    ] {
+        service.submit(req).expect("submit");
+    }
+    let report = service.drain().expect("drain");
+    assert_eq!(report.paused, 2, "{report:?}");
+    let paused_keys: std::collections::BTreeSet<(String, u64, u64)> = service
+        .jobs()
+        .filter(|j| j.state == JobState::Paused)
+        .map(|j| (j.spec.dataset.clone(), j.spec.seed, j.spec.scale_bits))
+        .collect();
+    assert_eq!(paused_keys.len(), 2);
+    assert_eq!(service.cached_corpora(), paused_keys.len());
+    // Keys 11, 12 and 13, each built once; key 11 stayed cached for the
+    // paused job after the ample jobs on it finished.
+    assert_eq!(service.corpus_builds(), 3);
+
+    // Topping both tenants up resumes the paused jobs on the corpora they
+    // kept, and then nothing is left cached.
+    service
+        .submit(request("cheap", 11, 1, AMPLE))
+        .expect("top-up");
+    service
+        .submit(request("thrifty", 13, 1, AMPLE))
+        .expect("top-up");
+    service.drain().expect("drain after top-up");
+    assert!(service
+        .jobs()
+        .all(|j| matches!(j.state, JobState::Completed | JobState::Rejected)));
+    assert_eq!(service.corpus_builds(), 3, "no key was rebuilt");
+    assert_eq!(service.cached_corpora(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reopened_service_rebuilds_a_paused_key_once_on_top_up() {
+    let dir = tempdir("rebuild");
+    let mut baseline = Service::open(&dir.join("baseline"), ServeConfig::default()).expect("open");
+    baseline
+        .submit(request("shoestring", 7, 3, AMPLE))
+        .expect("submit");
+    baseline.drain().expect("drain");
+    let want = baseline.status(1).expect("baseline job").clone();
+
+    // Pause the job, then kill the service after its pause is durable.
+    let kill = KillSwitch::new();
+    let mut doomed = Service::open(&dir.join("state"), ServeConfig::default())
+        .expect("open")
+        .with_kill_switch(kill.clone());
+    doomed
+        .submit(request("shoestring", 7, 3, 1_000))
+        .expect("submit");
+    doomed.drain().expect("drain");
+    assert_eq!(doomed.status(1).map(|j| j.state), Some(JobState::Paused));
+    assert_eq!(
+        doomed.cached_corpora(),
+        1,
+        "the paused job keeps its corpus"
+    );
+    kill.kill();
+    drop(doomed);
+
+    let mut revived = Service::open(&dir.join("state"), ServeConfig::default()).expect("reopen");
+    assert_eq!(revived.status(1).map(|j| j.state), Some(JobState::Paused));
+    assert_eq!(
+        revived.cached_corpora(),
+        0,
+        "a reopened service starts empty"
+    );
+    // The top-up brings a second job on the same key; both run in one
+    // round and wait on one build.
+    revived
+        .submit(request("shoestring", 7, 2, AMPLE))
+        .expect("top-up");
+    let report = revived.drain().expect("drain after top-up");
+    assert_eq!(report.completed, 2, "{report:?}");
+    assert_eq!(revived.corpus_builds(), 1, "the paused key is rebuilt once");
+    assert_eq!(revived.cached_corpora(), 0);
+    let resumed = revived.status(1).expect("job 1");
+    assert_eq!(resumed.state, JobState::Completed, "{resumed:?}");
+    assert_eq!(resumed.digest, want.digest, "resume is bit-identical");
+    assert_eq!(resumed.cost_nanousd, want.cost_nanousd, "no re-billing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_corpus_build_error_fails_only_its_own_job() {
+    let dir = tempdir("badkey");
+    let state = dir.join("state");
+    // Submits reject unknown datasets, so put the bad spec straight into
+    // the registry, as a registry written by another build could hold it.
+    std::fs::create_dir_all(&state).expect("state dir");
+    {
+        let (mut registry, _, _) = JobRegistry::open(&state).expect("registry");
+        let bad = JobSpec {
+            id: 1,
+            tenant: "acme".into(),
+            dataset: "nosuch".into(),
+            config: "base".into(),
+            model: "gpt-3.5".into(),
+            seed: 3,
+            scale_bits: 0.05f64.to_bits(),
+            queries: 2,
+        };
+        registry.append_submit(&bad, AMPLE).expect("append");
+    }
+    let mut service = Service::open(&state, ServeConfig::default()).expect("open");
+    service
+        .submit(request("globex", 4, 2, AMPLE))
+        .expect("submit");
+    // Both jobs run in one round; the failed build does not end it.
+    let report = service.drain().expect("drain");
+    assert_eq!((report.failed, report.completed), (1, 1), "{report:?}");
+    let bad = service.status(1).expect("job 1");
+    assert_eq!(bad.state, JobState::Failed);
+    assert!(bad.message.contains("nosuch"), "{}", bad.message);
+    assert_eq!(
+        service.status(2).map(|j| j.state),
+        Some(JobState::Completed)
+    );
+    assert_eq!(service.cached_corpora(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
