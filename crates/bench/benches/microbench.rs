@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the performance-critical components:
-//! tokenization, n-gram indexing, LF application, the simulated LLM, the
-//! label model, and the sparse end model. These are component benches —
-//! the table/figure binaries in `src/bin/` are the experiment harness.
+//! tokenization, n-gram indexing, LF application, the simulated LLM and
+//! the label model. These are component benches — the table/figure
+//! binaries in `src/bin/` are the experiment harness, and the end-model
+//! fit is timed once, by the `hotpath` binary's `endmodel-fit` kernel.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -127,48 +128,6 @@ fn bench_label_model(c: &mut Criterion) {
     });
 }
 
-fn bench_end_model(c: &mut Criterion) {
-    use datasculpt::endmodel::logreg::SparseRow;
-    use datasculpt::text::HashedTfIdf;
-    let d = DatasetName::Youtube.load_scaled(1, 1.0);
-    let mut tfidf = HashedTfIdf::new(32_768, 1);
-    tfidf.fit(d.train.iter().map(|i| i.tokens.as_slice()));
-    let rows: Vec<SparseRow> = d
-        .train
-        .iter()
-        .map(|i| {
-            tfidf
-                .transform_sparse(&i.tokens)
-                .into_iter()
-                .map(|(b, v)| (b as u32, v))
-                .collect()
-        })
-        .collect();
-    let targets: Vec<Vec<f64>> = d
-        .train
-        .iter()
-        .map(|i| {
-            let mut t = vec![0.0; 2];
-            t[i.label.expect("labels")] = 1.0;
-            t
-        })
-        .collect();
-    let cfg = TrainConfig {
-        epochs: 5,
-        learning_rate: 5.0,
-        l2: 0.0,
-        batch_size: 64,
-        seed: 0,
-    };
-    c.bench_function("endmodel/fit_sparse_5_epochs_1586", |b| {
-        b.iter(|| {
-            let mut m = SoftmaxRegression::new(32_768, 2);
-            m.fit_sparse(black_box(&rows), black_box(&targets), None, &cfg);
-            m
-        })
-    });
-}
-
 fn bench_dataset_generation(c: &mut Criterion) {
     c.bench_function("data/generate_youtube_full", |b| {
         b.iter(|| DatasetName::Youtube.load(black_box(7)))
@@ -212,7 +171,6 @@ criterion_group!(
     bench_simulated_llm,
     bench_cache_and_batch,
     bench_label_model,
-    bench_end_model,
     bench_dataset_generation,
     bench_hotpath_columnar_vs_rowmajor
 );

@@ -1,11 +1,11 @@
 //! Hot-path kernel timing report: `BENCH_hotpath.json`.
 //!
 //! Times the columnar kernels (gram-index build, indexed LF apply, MeTaL
-//! E-step, hashed TF-IDF) next to their pre-refactor row-major baselines
-//! and writes the `datasculpt-bench-hotpath/v1` JSON document (schema:
-//! `docs/perf.md`). Run through `scripts/bench.sh`, which also validates
-//! the output; `--check` is the one-iteration smoke mode wired into
-//! `scripts/check.sh`.
+//! E-step, hashed TF-IDF) next to their pre-refactor row-major baselines,
+//! plus the sparse end-model fit, and writes the
+//! `datasculpt-bench-hotpath/v1` JSON document (schema: `docs/perf.md`).
+//! Run through `scripts/bench.sh`, which also validates the output;
+//! `--check` is the one-iteration smoke mode wired into `scripts/check.sh`.
 //!
 //! Flags:
 //!

@@ -6,7 +6,8 @@
 //! row-major MeTaL EM fit ([`RowMajorMetal`], a direct port of the old
 //! `posterior_row` code over [`RowMajorMatrix`]) and the per-document
 //! token-scan LF apply — and times both sides of each comparison with a
-//! median-of-iterations wall-clock harness.
+//! median-of-iterations wall-clock harness. The same harness times the
+//! end-model fit (`endmodel-fit`), the largest layer of a full run.
 //!
 //! Consumers:
 //!
@@ -16,6 +17,7 @@
 //! * `benches/microbench.rs` — criterion comparisons on the same kernels.
 
 use datasculpt::core::index::NgramIndex;
+use datasculpt::endmodel::logreg::SparseRow;
 use datasculpt::exec::{shard_ranges, DEFAULT_SHARDS};
 use datasculpt::labelmodel::{LabelMatrix, RowMajorMatrix, ABSTAIN};
 use datasculpt::prelude::*;
@@ -277,12 +279,20 @@ pub struct HotpathFixture {
     pub row_major: RowMajorMatrix,
     /// Number of classes.
     pub n_classes: usize,
+    /// Labeled train rows as 32 768-dim hashed TF-IDF features.
+    pub end_rows: Vec<SparseRow>,
+    /// Ground-truth one-hot targets for `end_rows`.
+    pub end_targets: Vec<Vec<f64>>,
 }
 
 /// EM iteration cap shared by both E-step kernels.
 pub const ESTEP_ITERS: usize = 10;
 /// LF pool size for the fixture.
 pub const FIXTURE_LFS: usize = 40;
+/// Epoch count of the end-model kernel (the eval trains 150).
+pub const ENDMODEL_EPOCHS: usize = 10;
+/// Feature dimensionality of the end-model kernel (the eval's default).
+const ENDMODEL_DIM: usize = 32_768;
 
 impl HotpathFixture {
     /// Load `name` at `scale` and precompute the shared kernel inputs.
@@ -304,6 +314,23 @@ impl HotpathFixture {
             .collect();
         let row_major = RowMajorMatrix::from_columns(&columns, matrix.rows());
         let n_classes = dataset.n_classes();
+        let mut tfidf = HashedTfIdf::new(ENDMODEL_DIM, 1);
+        tfidf.fit(dataset.train.iter().map(|i| i.tokens.as_slice()));
+        let (end_rows, end_targets) = dataset
+            .train
+            .iter()
+            .filter_map(|inst| {
+                let y = inst.label?;
+                let row: SparseRow = tfidf
+                    .transform_sparse(&inst.tokens)
+                    .into_iter()
+                    .map(|(d, v)| (d as u32, v))
+                    .collect();
+                let mut target = vec![0.0; n_classes];
+                *target.get_mut(y)? = 1.0;
+                Some((row, target))
+            })
+            .unzip();
         Self {
             dataset,
             index,
@@ -311,6 +338,8 @@ impl HotpathFixture {
             matrix,
             row_major,
             n_classes,
+            end_rows,
+            end_targets,
         }
     }
 
@@ -356,6 +385,24 @@ impl HotpathFixture {
         for inst in self.dataset.train.iter() {
             black_box(tfidf.transform_sparse(&inst.tokens));
         }
+    }
+
+    /// Kernel: end-model training — [`SoftmaxRegression::fit_sparse`] on
+    /// the labeled train rows with the eval's [`TrainConfig`], cut to
+    /// [`ENDMODEL_EPOCHS`] epochs.
+    pub fn kernel_endmodel_fit(&self) {
+        let config = TrainConfig {
+            epochs: ENDMODEL_EPOCHS,
+            ..EvalConfig::default().train
+        };
+        let mut model = SoftmaxRegression::new(ENDMODEL_DIM, self.n_classes);
+        model.fit_sparse(
+            black_box(&self.end_rows),
+            black_box(&self.end_targets),
+            None,
+            &config,
+        );
+        black_box(model);
     }
 }
 
@@ -422,13 +469,14 @@ pub struct HotpathReport {
 }
 
 /// Kernel names every report must contain (schema contract).
-pub const REQUIRED_KERNELS: [&str; 6] = [
+pub const REQUIRED_KERNELS: [&str; 7] = [
     "index-build",
     "lf-apply",
     "lf-apply-rowscan-baseline",
     "metal-e-step",
     "metal-e-step-rowmajor-baseline",
     "tfidf",
+    "endmodel-fit",
 ];
 
 /// Run every hot-path kernel on `name` at `scale`, `iters` timed
@@ -446,6 +494,7 @@ pub fn run_report(name: DatasetName, scale: f64, iters: usize) -> HotpathReport 
             fx.kernel_metal_estep_rowmajor()
         }),
         time_kernel("tfidf", iters, || fx.kernel_tfidf()),
+        time_kernel("endmodel-fit", iters, || fx.kernel_endmodel_fit()),
     ];
     for required in REQUIRED_KERNELS {
         assert!(

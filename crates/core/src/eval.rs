@@ -15,7 +15,7 @@ use datasculpt_data::{Metric, Split, TextDataset};
 use datasculpt_endmodel::logreg::SparseRow;
 use datasculpt_endmodel::{accuracy, f1_positive, MlpClassifier, SoftmaxRegression, TrainConfig};
 use datasculpt_labelmodel::{
-    LabelMatrix, LabelModel, MajorityVote, MetalConfig, MetalModel, TripletModel,
+    LabelMatrix, LabelModel, MajorityVote, MetalConfig, MetalModel, ProbLabels, TripletModel,
 };
 use datasculpt_text::HashedTfIdf;
 
@@ -248,65 +248,7 @@ pub fn evaluate_matrix(
     };
 
     let x_train = sparse(&dataset.train, Some(&covered));
-    // WRENCH-style end-model training: hard labels from the label-model
-    // posterior by default (soft targets dilute minority-class supervision
-    // on the imbalanced datasets; see EXPERIMENTS.md).
-    let targets: Vec<Vec<f64>> = covered
-        .iter()
-        .map(|&i| {
-            let row = probs.row(i);
-            if !config.hard_targets {
-                return row.to_vec();
-            }
-            let mut best = 0;
-            let mut best_p = f64::NEG_INFINITY;
-            for (c, &p) in row.iter().enumerate() {
-                if p > best_p {
-                    best = c;
-                    best_p = p;
-                }
-            }
-            let mut t = vec![0.0; n_classes];
-            if let Some(slot) = t.get_mut(best) {
-                *slot = 1.0;
-            }
-            t
-        })
-        .collect();
-
-    // Balanced sample weights (scikit-learn's `class_weight="balanced"`,
-    // computed from the weak labels): on imbalanced tasks (SMS, Spouse)
-    // plain cross-entropy starves the minority class that the F1 metric
-    // measures.
-    let weights: Option<Vec<f64>> = config.balanced_weights.then(|| {
-        let hard: Vec<usize> = targets
-            .iter()
-            .map(|t| {
-                let mut best = 0;
-                let mut best_p = f64::NEG_INFINITY;
-                for (c, &p) in t.iter().enumerate() {
-                    if p > best_p {
-                        best = c;
-                        best_p = p;
-                    }
-                }
-                best
-            })
-            .collect();
-        let mut counts = vec![0usize; n_classes];
-        for &h in &hard {
-            if let Some(slot) = counts.get_mut(h) {
-                *slot += 1;
-            }
-        }
-        let n_cov = covered.len().max(1) as f64;
-        hard.iter()
-            .map(|&h| {
-                let cnt = counts.get(h).copied().unwrap_or(0).max(1);
-                n_cov / (n_classes as f64 * cnt as f64)
-            })
-            .collect()
-    });
+    let (targets, weights) = end_model_targets(&probs, &covered, n_classes, config);
 
     let x_test = sparse(&dataset.test, None);
     let pred = match config.end_model {
@@ -336,6 +278,59 @@ pub fn evaluate_matrix(
         metric: dataset.spec.metric,
         lf_accuracy_estimates,
     }
+}
+
+/// End-model targets and optional balanced sample weights for the
+/// `covered` train rows. Both derive from each row's hard label, the
+/// argmax of its posterior, which is computed once.
+fn end_model_targets(
+    probs: &ProbLabels,
+    covered: &[usize],
+    n_classes: usize,
+    config: &EvalConfig,
+) -> (Vec<Vec<f64>>, Option<Vec<f64>>) {
+    let all_hard = probs.hard_labels();
+    let hard: Vec<usize> = covered
+        .iter()
+        .map(|&i| all_hard.get(i).copied().unwrap_or(0))
+        .collect();
+    // WRENCH-style end-model training: hard labels from the label-model
+    // posterior by default (soft targets dilute minority-class supervision
+    // on the imbalanced datasets; see EXPERIMENTS.md).
+    let targets: Vec<Vec<f64>> = if config.hard_targets {
+        hard.iter()
+            .map(|&h| {
+                let mut t = vec![0.0; n_classes];
+                if let Some(slot) = t.get_mut(h) {
+                    *slot = 1.0;
+                }
+                t
+            })
+            .collect()
+    } else {
+        covered.iter().map(|&i| probs.row(i).to_vec()).collect()
+    };
+
+    // Balanced sample weights (scikit-learn's `class_weight="balanced"`,
+    // computed from the weak labels): on imbalanced tasks (SMS, Spouse)
+    // plain cross-entropy starves the minority class that the F1 metric
+    // measures.
+    let weights: Option<Vec<f64>> = config.balanced_weights.then(|| {
+        let mut counts = vec![0usize; n_classes];
+        for &h in &hard {
+            if let Some(slot) = counts.get_mut(h) {
+                *slot += 1;
+            }
+        }
+        let n_cov = covered.len().max(1) as f64;
+        hard.iter()
+            .map(|&h| {
+                let cnt = counts.get(h).copied().unwrap_or(0).max(1);
+                n_cov / (n_classes as f64 * cnt as f64)
+            })
+            .collect()
+    });
+    (targets, weights)
 }
 
 /// Append window features for a relation instance: n-grams found inside

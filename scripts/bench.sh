@@ -35,14 +35,16 @@ if [ $# -gt 0 ]; then shift; fi
 fail() { echo "FAIL: $1 (in $2)" >&2; exit 1; }
 
 # Schema validation: the v1 document marker, the RSS field, and one entry
-# per required kernel (columnar kernels and their row-major baselines).
+# per required kernel (columnar kernels, their row-major baselines, and
+# the end-model fit).
 validate_hotpath() {
   local out="$1"
   grep -q '"schema": "datasculpt-bench-hotpath/v1"' "$out" \
     || fail "missing schema marker datasculpt-bench-hotpath/v1" "$out"
   grep -q '"peak_rss_kb": [0-9]' "$out" || fail "missing peak_rss_kb" "$out"
   for kernel in index-build lf-apply lf-apply-rowscan-baseline \
-                metal-e-step metal-e-step-rowmajor-baseline tfidf; do
+                metal-e-step metal-e-step-rowmajor-baseline tfidf \
+                endmodel-fit; do
     grep -q "\"name\": \"$kernel\", \"median_ns_per_op\": [0-9]" "$out" \
       || fail "missing kernel entry $kernel" "$out"
   done
