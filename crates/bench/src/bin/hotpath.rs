@@ -2,7 +2,8 @@
 //!
 //! Times the columnar kernels (gram-index build, indexed LF apply, MeTaL
 //! E-step, hashed TF-IDF) next to their pre-refactor row-major baselines,
-//! plus the sparse end-model fit, and writes the
+//! plus the sparse end-model fit and the simulated LLM's label-only
+//! annotation, and writes the
 //! `datasculpt-bench-hotpath/v1` JSON document (schema: `docs/perf.md`).
 //! Run through `scripts/bench.sh`, which also validates the output;
 //! `--check` is the one-iteration smoke mode wired into `scripts/check.sh`.

@@ -7,7 +7,9 @@
 //! `posterior_row` code over [`RowMajorMatrix`]) and the per-document
 //! token-scan LF apply — and times both sides of each comparison with a
 //! median-of-iterations wall-clock harness. The same harness times the
-//! end-model fit (`endmodel-fit`), the largest layer of a full run.
+//! end-model fit (`endmodel-fit`), the largest layer of a full run, and
+//! the simulated LLM answering PromptedLF's label-only requests
+//! (`llm-annotate`), the largest layer of the PromptedLF baseline.
 //!
 //! Consumers:
 //!
@@ -17,6 +19,7 @@
 //! * `benches/microbench.rs` — criterion comparisons on the same kernels.
 
 use datasculpt::core::index::NgramIndex;
+use datasculpt::core::prompt::label_only_messages;
 use datasculpt::endmodel::logreg::SparseRow;
 use datasculpt::exec::{shard_ranges, DEFAULT_SHARDS};
 use datasculpt::labelmodel::{LabelMatrix, RowMajorMatrix, ABSTAIN};
@@ -283,6 +286,9 @@ pub struct HotpathFixture {
     pub end_rows: Vec<SparseRow>,
     /// Ground-truth one-hot targets for `end_rows`.
     pub end_targets: Vec<Vec<f64>>,
+    /// PromptedLF's label-only request for every train instance under
+    /// its first template.
+    pub annotate_requests: Vec<ChatRequest>,
 }
 
 /// EM iteration cap shared by both E-step kernels.
@@ -331,6 +337,18 @@ impl HotpathFixture {
                 Some((row, target))
             })
             .unzip();
+        let template = promptedlf_templates(&dataset)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+        let annotate_requests = dataset
+            .train
+            .iter()
+            .map(|inst| {
+                let messages = label_only_messages(&dataset.spec, &template, &inst.prompt_text());
+                ChatRequest::new(messages).with_temperature(0.7)
+            })
+            .collect();
         Self {
             dataset,
             index,
@@ -340,6 +358,7 @@ impl HotpathFixture {
             n_classes,
             end_rows,
             end_targets,
+            annotate_requests,
         }
     }
 
@@ -403,6 +422,15 @@ impl HotpathFixture {
             &config,
         );
         black_box(model);
+    }
+
+    /// Kernel: a fresh serial [`SimulatedLlm`] answers the fixture's
+    /// label-only requests through [`ChatModel::complete_batch`], as one
+    /// PromptedLF template column does. The requests are prebuilt, so
+    /// only the simulator (construction included) is timed.
+    pub fn kernel_llm_annotate(&self) {
+        let mut llm = SimulatedLlm::new(ModelId::Gpt35Turbo, self.dataset.generative.clone(), 1);
+        black_box(llm.complete_batch(black_box(&self.annotate_requests)));
     }
 }
 
@@ -469,7 +497,7 @@ pub struct HotpathReport {
 }
 
 /// Kernel names every report must contain (schema contract).
-pub const REQUIRED_KERNELS: [&str; 7] = [
+pub const REQUIRED_KERNELS: [&str; 8] = [
     "index-build",
     "lf-apply",
     "lf-apply-rowscan-baseline",
@@ -477,6 +505,7 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
     "metal-e-step-rowmajor-baseline",
     "tfidf",
     "endmodel-fit",
+    "llm-annotate",
 ];
 
 /// Run every hot-path kernel on `name` at `scale`, `iters` timed
@@ -495,6 +524,7 @@ pub fn run_report(name: DatasetName, scale: f64, iters: usize) -> HotpathReport 
         }),
         time_kernel("tfidf", iters, || fx.kernel_tfidf()),
         time_kernel("endmodel-fit", iters, || fx.kernel_endmodel_fit()),
+        time_kernel("llm-annotate", iters, || fx.kernel_llm_annotate()),
     ];
     for required in REQUIRED_KERNELS {
         assert!(

@@ -7,6 +7,7 @@ use crate::spec::{DatasetSpec, SplitSizes};
 use datasculpt_text::rng::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The six evaluation datasets of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,8 +101,9 @@ impl std::fmt::Display for DatasetName {
 pub struct TextDataset {
     /// Static task description.
     pub spec: DatasetSpec,
-    /// Ground-truth corpus model (used by the LLM simulator and oracles).
-    pub generative: GenerativeModel,
+    /// Ground-truth corpus model (used by the LLM simulator and oracles),
+    /// shared: cloning the handle hands the same world to every simulator.
+    pub generative: Arc<GenerativeModel>,
     /// Unlabeled training split (labels hidden for Spouse).
     pub train: Split,
     /// Labeled validation split.
@@ -120,7 +122,7 @@ impl TextDataset {
         let test_split = Self::gen_split(&generative, test, base, 2, true);
         Self {
             spec,
-            generative,
+            generative: Arc::new(generative),
             train: train_split,
             valid: valid_split,
             test: test_split,

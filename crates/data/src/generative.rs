@@ -10,13 +10,15 @@
 //! The same model is the "world" that the simulated LLM has (noisy) knowledge
 //! of: [`GenerativeModel::affinity`] returns the per-class appearance
 //! probabilities of an n-gram, which the simulator corrupts with Gaussian
-//! noise before using (see the `datasculpt-llm` crate).
+//! noise before using (see the `datasculpt-llm` crate). The grams the world
+//! knows are interned once, in ascending byte order, so the simulator can
+//! look each query gram up by symbol and keep its candidates sorted without
+//! touching string data again.
 
 use datasculpt_text::rng::{derive_seed, Gaussian};
-use datasculpt_text::{Categorical, Zipf};
+use datasculpt_text::{Categorical, TokenArena, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// An indicative n-gram with per-class appearance probabilities.
 #[derive(Debug, Clone)]
@@ -76,11 +78,14 @@ pub struct GenerativeModel {
     background: Vec<String>,
     zipf: Zipf,
     indicative: Vec<IndicativeNgram>,
-    affinity: BTreeMap<String, usize>,
-    /// Affinities for n-grams that are not lexicon entries but still carry
-    /// class signal — the relation connector patterns inserted by
-    /// [`RelationConfig`] (e.g. `"married"` in Spouse positives).
-    extra_affinity: BTreeMap<String, Vec<f64>>,
+    /// Every gram the world knows: the lexicon plus the relation connector
+    /// patterns inserted by [`RelationConfig`] (e.g. `"married"` in Spouse
+    /// positives), which are not lexicon entries but still carry class
+    /// signal. Interned in ascending byte order.
+    known: TokenArena,
+    /// `known_probs[s * n_classes..][..n_classes]`: the per-class appearance
+    /// probabilities of known symbol `s`.
+    known_probs: Vec<f64>,
     by_class: Vec<Vec<usize>>,
     class_cat: Vec<Categorical>,
     class_lambda: Vec<f64>,
@@ -133,7 +138,6 @@ impl GenerativeModel {
             (0.0..0.5).contains(&label_noise),
             "label noise {label_noise}"
         );
-        let mut affinity = BTreeMap::new();
         let mut by_class = vec![Vec::new(); n_classes];
         for (i, g) in indicative.iter().enumerate() {
             assert_eq!(g.probs.len(), n_classes, "probs mismatch for {}", g.gram);
@@ -142,12 +146,22 @@ impl GenerativeModel {
                 "bad prob for {}",
                 g.gram
             );
-            let prev = affinity.insert(g.gram.clone(), i);
-            assert!(prev.is_none(), "duplicate indicative n-gram {}", g.gram);
             if let Some(bucket) = by_class.get_mut(g.dominant_class()) {
                 bucket.push(i);
             }
         }
+        // The lexicon in byte order; a duplicate lands next to its twin.
+        let mut lexicon: Vec<(&str, &[f64])> = indicative
+            .iter()
+            .map(|g| (g.gram.as_str(), g.probs.as_slice()))
+            .collect();
+        lexicon.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for pair in lexicon.windows(2) {
+            if let [(a, _), (b, _)] = pair {
+                assert!(a != b, "duplicate indicative n-gram {a}");
+            }
+        }
+        let in_lexicon = |gram: &str| lexicon.binary_search_by(|e| e.0.cmp(gram)).is_ok();
         let mut class_cat = Vec::with_capacity(n_classes);
         let mut class_lambda = Vec::with_capacity(n_classes);
         for c in 0..n_classes {
@@ -164,28 +178,41 @@ impl GenerativeModel {
         // Relation connectors carry strong class signal but are inserted by
         // the entity scaffolding rather than the lexicon; expose them to
         // `affinity` lookups so the simulated LLM can "know" them.
-        let mut extra_affinity = BTreeMap::new();
+        let mut connectors: Vec<&str> = Vec::new();
+        let mut connector_probs = [0.0; 2];
         if let Some(rel) = &relation {
             assert_eq!(n_classes, 2, "relation tasks are binary");
             let n_conn = rel.positive_connectors.len() as f64;
             let pos_rate = 1.0 / n_conn;
             let neg_rate = rel.distractor_rate / n_conn;
+            connector_probs = [neg_rate, pos_rate];
             const GLUE: [&str; 7] = ["and", "his", "her", "is", "to", "the", "with"];
-            for conn in &rel.positive_connectors {
+            for &conn in &rel.positive_connectors {
                 let words: Vec<&str> = conn.split(' ').collect();
-                if words.len() <= 3 && !affinity.contains_key(*conn) {
-                    extra_affinity
-                        .entry(conn.to_string())
-                        .or_insert_with(|| vec![neg_rate, pos_rate]);
+                if words.len() <= 3 && !in_lexicon(conn) {
+                    connectors.push(conn);
                 }
                 for w in words {
-                    if w.len() > 2 && !GLUE.contains(&w) && !affinity.contains_key(w) {
-                        extra_affinity
-                            .entry(w.to_string())
-                            .or_insert_with(|| vec![neg_rate, pos_rate]);
+                    if w.len() > 2 && !GLUE.contains(&w) && !in_lexicon(w) {
+                        connectors.push(w);
                     }
                 }
             }
+        }
+        // Every connector gets the same probabilities, so repeats collapse.
+        let mut known_grams: Vec<(&str, &[f64])> = lexicon;
+        known_grams.extend(
+            connectors
+                .into_iter()
+                .map(|c| (c, connector_probs.as_slice())),
+        );
+        known_grams.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        known_grams.dedup_by(|a, b| a.0 == b.0);
+        let mut known = TokenArena::with_capacity(known_grams.len());
+        let mut known_probs = Vec::with_capacity(known_grams.len() * n_classes);
+        for (gram, probs) in known_grams {
+            known.intern(gram);
+            known_probs.extend_from_slice(probs);
         }
         Self {
             n_classes,
@@ -193,8 +220,8 @@ impl GenerativeModel {
             background,
             zipf,
             indicative,
-            affinity,
-            extra_affinity,
+            known,
+            known_probs,
             by_class,
             class_cat,
             class_lambda,
@@ -230,16 +257,45 @@ impl GenerativeModel {
             .filter_map(move |&i| self.indicative.get(i))
     }
 
-    /// Per-class appearance probabilities of an n-gram, if it is indicative.
+    /// Per-class appearance probabilities of an n-gram, if it is indicative
+    /// (or a relation connector).
     ///
     /// Background words and unknown n-grams return `None` — they carry no
     /// class signal.
     pub fn affinity(&self, gram: &str) -> Option<&[f64]> {
-        self.affinity
-            .get(gram)
-            .and_then(|&i| self.indicative.get(i))
-            .map(|g| g.probs.as_slice())
-            .or_else(|| self.extra_affinity.get(gram).map(Vec::as_slice))
+        self.known_symbol(gram)
+            .and_then(|sym| self.known_affinity(sym))
+    }
+
+    /// The symbol of a gram the world knows (an indicative n-gram or a
+    /// relation connector), or `None`.
+    ///
+    /// Symbols are dense in `0..known_len()` and follow the byte order of
+    /// their grams: for known grams `a` and `b`, `a < b` exactly when
+    /// `known_symbol(a) < known_symbol(b)`. Sorting symbols therefore sorts
+    /// the grams they stand for.
+    pub fn known_symbol(&self, gram: &str) -> Option<u32> {
+        self.known.lookup(gram)
+    }
+
+    /// Number of grams the world knows; their symbols are `0..known_len()`
+    /// in ascending byte order of the grams.
+    pub fn known_len(&self) -> usize {
+        self.known.len()
+    }
+
+    /// The gram of a known symbol (`None` if out of range). Ascending
+    /// symbols yield grams in ascending byte order.
+    pub fn known_gram(&self, sym: u32) -> Option<&str> {
+        self.known.get(sym)
+    }
+
+    /// The per-class appearance probabilities of a known symbol (`None` if
+    /// out of range); the same slice [`affinity`](Self::affinity) returns
+    /// for its gram.
+    pub fn known_affinity(&self, sym: u32) -> Option<&[f64]> {
+        let start = sym as usize * self.n_classes;
+        self.known_probs.get(start..start + self.n_classes)
     }
 
     /// True if this is a relation (entity-pair) task.
@@ -594,6 +650,71 @@ mod tests {
         let ia = marked.iter().position(|t| t == "[a]").expect("[a]");
         let ib = marked.iter().position(|t| t == "[b]").expect("[b]");
         assert!(ib > ia && ib - ia <= 4, "connector should link the pair");
+    }
+
+    #[test]
+    fn known_grams_are_the_lexicon_and_connectors_in_byte_order() {
+        let rel = RelationConfig {
+            first_names: vec!["john", "mary"],
+            last_names: vec!["smith", "jones"],
+            positive_connectors: vec!["married", "and his wife", "wedding"],
+            distractor_rate: 0.5,
+        };
+        let m = GenerativeModel::new(
+            2,
+            vec![0.9, 0.1],
+            vec!["the".into(), "news".into()],
+            vec![
+                IndicativeNgram {
+                    gram: "wedding".into(),
+                    probs: vec![0.01, 0.3],
+                },
+                IndicativeNgram {
+                    gram: "colleague".into(),
+                    probs: vec![0.2, 0.01],
+                },
+            ],
+            25.0,
+            5.0,
+            8,
+            0.02,
+            Some(rel),
+        );
+        let grams: Vec<&str> = (0..m.known_len() as u32)
+            .map(|s| m.known_gram(s).unwrap())
+            .collect();
+        // Glue words ("and", "his") are not connectors; the lexicon entry
+        // "wedding" keeps its own probabilities.
+        assert_eq!(
+            grams,
+            ["and his wife", "colleague", "married", "wedding", "wife"]
+        );
+        for (sym, gram) in grams.iter().enumerate() {
+            assert_eq!(m.known_symbol(gram), Some(sym as u32));
+            assert_eq!(m.affinity(gram), m.known_affinity(sym as u32));
+        }
+        // Three connectors: positive rate 1/3, distractor rate 0.5/3.
+        assert_eq!(m.affinity("wife").unwrap(), &[0.5 / 3.0, 1.0 / 3.0]);
+        assert_eq!(m.affinity("wedding").unwrap(), &[0.01, 0.3]);
+        assert_eq!(m.known_symbol("his"), None);
+        assert_eq!(m.known_affinity(5), None);
+    }
+
+    #[test]
+    fn every_dataset_world_interns_its_grams_in_byte_order() {
+        for name in crate::DatasetName::ALL {
+            let (_, m) = name.spec();
+            let grams: Vec<&str> = (0..m.known_len() as u32)
+                .map(|s| m.known_gram(s).unwrap())
+                .collect();
+            assert!(grams.windows(2).all(|w| w[0] < w[1]), "{name}");
+            for (sym, gram) in grams.iter().enumerate() {
+                assert_eq!(m.known_symbol(gram), Some(sym as u32));
+            }
+            for g in m.indicative_grams() {
+                assert_eq!(m.affinity(&g.gram), Some(g.probs.as_slice()));
+            }
+        }
     }
 
     #[test]

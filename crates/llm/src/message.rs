@@ -1,6 +1,7 @@
 //! Chat message and request/response types (OpenAI-style surface).
 
 use crate::pricing::ModelId;
+use crate::tokens::approx_token_count;
 use crate::usage::TokenUsage;
 
 /// Message author role.
@@ -93,7 +94,18 @@ impl ChatRequest {
         self
     }
 
-    /// Concatenated text of all messages (used for token counting).
+    /// Approximate prompt tokens of the conversation: the sum of
+    /// [`approx_token_count`] over the messages. This equals the count of
+    /// [`full_text`](Self::full_text) — its `\n` separators are whitespace,
+    /// so no word spans two messages — without building that text.
+    pub fn prompt_tokens(&self) -> u64 {
+        self.messages
+            .iter()
+            .map(|m| approx_token_count(&m.content))
+            .sum()
+    }
+
+    /// Concatenated text of all messages, each followed by `\n`.
     pub fn full_text(&self) -> String {
         let mut s = String::new();
         for m in &self.messages {

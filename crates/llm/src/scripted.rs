@@ -54,7 +54,7 @@ impl ChatModel for ScriptedModel {
         Ok(ChatResponse {
             choices,
             usage: TokenUsage {
-                prompt_tokens: approx_token_count(&request.full_text()),
+                prompt_tokens: request.prompt_tokens(),
                 completion_tokens,
             },
             model: self.model,

@@ -19,12 +19,18 @@
 //!   it away, and higher temperature yields more diverse keyword sets
 //!   (larger LF sets for DataSculpt-SC, Table 2).
 //!
+//! Beliefs are a pure function of `(model, world, gram)`, so each simulator
+//! computes them once, at construction, for every gram its world knows
+//! ([`GenerativeModel::known_symbol`]). A call then walks the query's
+//! n-grams, looks each one up by symbol, and reads the few belief rows it
+//! hits.
+//!
 //! The prompt contract (the marker strings below) is shared with the prompt
 //! builder in `datasculpt-core`; a real API client would honour the same
 //! contract implicitly by the LLM following instructions.
 
 use crate::error::LlmError;
-use crate::message::{ChatChoice, ChatRequest, ChatResponse};
+use crate::message::{ChatChoice, ChatRequest, ChatResponse, Role};
 use crate::pricing::ModelId;
 use crate::profile::ModelProfile;
 use crate::tokens::approx_token_count;
@@ -33,9 +39,10 @@ use crate::ChatModel;
 use datasculpt_data::GenerativeModel;
 use datasculpt_exec::Pool;
 use datasculpt_text::rng::{derive_seed, hash_str};
-use datasculpt_text::{extract_ngrams, tokenize_keep_markers};
+use datasculpt_text::{for_each_ngram, tokenize_keep_markers};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Marks the query instance in the user prompt.
 pub const QUERY_PREFIX: &str = "Query:";
@@ -59,11 +66,98 @@ pub const GENERIC_KEYWORDS_MARKER: &str = "List the most indicative keywords";
 /// `for class <digit>` plus the `Query:`.
 pub const REVISE_MARKER: &str = "Propose a more specific phrase";
 
+/// Mixes a gram's hash into the persistent-noise key.
+const GRAM_KEY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A model's belief about every gram its world knows, computed once per
+/// `(world, model)`.
+///
+/// Row `s` (stride `n_classes + 1`) holds known symbol `s`'s believed class
+/// distribution — the true normalized affinity plus the persistent
+/// corruption, clamped and re-normalized — followed by its strength, the
+/// sum of its true appearance probabilities. A row of strength 0 carries no
+/// belief: the model has no knowledge of that gram.
+#[derive(Debug)]
+struct Beliefs {
+    n_classes: usize,
+    rows: Vec<f64>,
+}
+
+impl Beliefs {
+    fn build(world: &GenerativeModel, profile: &ModelProfile) -> Self {
+        let n_classes = world.n_classes();
+        let model_hash = hash_str(profile.model.api_name());
+        let mut rows = Vec::with_capacity(world.known_len() * (n_classes + 1));
+        for sym in 0..world.known_len() as u32 {
+            let start = rows.len();
+            rows.resize(start + n_classes + 1, 0.0);
+            let (Some(gram), Some(probs)) = (world.known_gram(sym), world.known_affinity(sym))
+            else {
+                continue;
+            };
+            let Some((row_strength, w)) = rows.get_mut(start..).and_then(<[f64]>::split_last_mut)
+            else {
+                continue;
+            };
+            let strength: f64 = probs.iter().sum();
+            if strength <= 0.0 {
+                continue;
+            }
+            let gram_key = hash_str(gram)
+                .wrapping_mul(GRAM_KEY_MUL)
+                .wrapping_add(model_hash);
+            for (cls, (wc, p)) in w.iter_mut().zip(probs).enumerate() {
+                *wc = p / strength + profile.knowledge_noise * persistent_noise(gram_key, cls);
+                if *wc < 0.0 {
+                    *wc = 0.0;
+                }
+            }
+            let sum: f64 = w.iter().sum();
+            if sum <= 0.0 {
+                w.fill(1.0 / n_classes as f64);
+            } else {
+                for wc in w.iter_mut() {
+                    *wc /= sum;
+                }
+            }
+            *row_strength = strength;
+        }
+        Self { n_classes, rows }
+    }
+
+    /// The believed class distribution and strength of a known symbol, or
+    /// `None` when the model has no knowledge of it.
+    fn row(&self, sym: u32) -> Option<(&[f64], f64)> {
+        let stride = self.n_classes + 1;
+        let row = self
+            .rows
+            .get(sym as usize * stride..(sym as usize + 1) * stride)?;
+        let (&strength, belief) = row.split_last()?;
+        (strength > 0.0).then_some((belief, strength))
+    }
+}
+
+/// Persistent standard-normal deviate keyed by `(model, gram, class)`:
+/// `gram_key` is the gram's hash times [`GRAM_KEY_MUL`] plus the model's.
+fn persistent_noise(gram_key: u64, class: usize) -> f64 {
+    let key = gram_key.wrapping_add(class as u64);
+    // Two derived uniforms -> Box–Muller.
+    let u1 = ((derive_seed(key, 1) >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
+    let u2 = (derive_seed(key, 2) >> 11) as f64 / (1u64 << 53) as f64;
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// A known gram found in a query: its symbol, believed class distribution
+/// and strength.
+type Candidate<'a> = (u32, &'a [f64], f64);
+
 /// A deterministic, knowledge-corrupted simulated chat model.
 #[derive(Debug, Clone)]
 pub struct SimulatedLlm {
     profile: ModelProfile,
-    world: GenerativeModel,
+    world: Arc<GenerativeModel>,
+    /// Shared by clones: a pure function of `(profile, world)`.
+    beliefs: Arc<Beliefs>,
     seed: u64,
     calls: u64,
     pool: Pool,
@@ -71,20 +165,22 @@ pub struct SimulatedLlm {
 
 impl SimulatedLlm {
     /// Build a simulator for `model` over a dataset's generative model.
-    pub fn new(model: ModelId, world: GenerativeModel, seed: u64) -> Self {
-        Self {
-            profile: ModelProfile::for_model(model),
-            world,
-            seed: derive_seed(seed, hash_str(model.api_name())),
-            calls: 0,
-            pool: Pool::serial(),
-        }
+    /// Pass the dataset's shared world (`dataset.generative.clone()`) to
+    /// avoid copying it.
+    pub fn new(model: ModelId, world: impl Into<Arc<GenerativeModel>>, seed: u64) -> Self {
+        Self::with_profile(ModelProfile::for_model(model), world, seed)
     }
 
     /// Build with an explicit profile (for calibration experiments).
-    pub fn with_profile(profile: ModelProfile, world: GenerativeModel, seed: u64) -> Self {
+    pub fn with_profile(
+        profile: ModelProfile,
+        world: impl Into<Arc<GenerativeModel>>,
+        seed: u64,
+    ) -> Self {
+        let world = world.into();
         Self {
             seed: derive_seed(seed, hash_str(profile.model.api_name())),
+            beliefs: Arc::new(Beliefs::build(&world, &profile)),
             profile,
             world,
             calls: 0,
@@ -106,44 +202,26 @@ impl SimulatedLlm {
         self.calls
     }
 
-    /// Persistent standard-normal deviate keyed by `(model, gram, class)`.
-    fn persistent_noise(&self, gram: &str, class: usize) -> f64 {
-        let key = hash_str(gram)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(hash_str(self.profile.model.api_name()))
-            .wrapping_add(class as u64);
-        // Two derived uniforms -> Box–Muller.
-        let u1 = ((derive_seed(key, 1) >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
-        let u2 = (derive_seed(key, 2) >> 11) as f64 / (1u64 << 53) as f64;
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    /// Every known gram among the query's 1–3-grams that the model has
+    /// knowledge of, once each, in ascending byte order of the grams
+    /// (symbol order).
+    fn candidates(&self, tokens: &[String]) -> Vec<Candidate<'_>> {
+        let mut syms: Vec<u32> = Vec::new();
+        for_each_ngram(tokens, 3, |gram| {
+            if let Some(sym) = self.world.known_symbol(gram) {
+                syms.push(sym);
+            }
+        });
+        syms.sort_unstable();
+        syms.dedup();
+        syms.into_iter()
+            .filter_map(|sym| self.beliefs.row(sym).map(|(w, s)| (sym, w, s)))
+            .collect()
     }
 
-    /// The model's belief about an n-gram's class distribution: the true
-    /// normalized affinity plus persistent corruption, re-normalized.
-    /// Returns `None` for n-grams the model has no knowledge of.
-    fn believed_affinity(&self, gram: &str) -> Option<(Vec<f64>, f64)> {
-        let probs = self.world.affinity(gram)?;
-        let strength: f64 = probs.iter().sum();
-        if strength <= 0.0 {
-            return None;
-        }
-        let c = probs.len();
-        let mut w: Vec<f64> = probs.iter().map(|p| p / strength).collect();
-        for (cls, wc) in w.iter_mut().enumerate() {
-            *wc += self.profile.knowledge_noise * self.persistent_noise(gram, cls);
-            if *wc < 0.0 {
-                *wc = 0.0;
-            }
-        }
-        let sum: f64 = w.iter().sum();
-        if sum <= 0.0 {
-            w = vec![1.0 / c as f64; c];
-        } else {
-            for wc in &mut w {
-                *wc /= sum;
-            }
-        }
-        Some((w, strength))
+    /// The gram of a candidate's symbol.
+    fn gram(&self, sym: u32) -> &str {
+        self.world.known_gram(sym).unwrap_or_default()
     }
 
     /// Produce one response sample.
@@ -159,15 +237,8 @@ impl SimulatedLlm {
     ) -> String {
         let n_classes = self.world.n_classes();
         let tokens = tokenize_query(query);
-        let mut grams = extract_ngrams(&tokens, 3);
-        grams.sort_unstable();
-        grams.dedup();
-
         // Candidate knowledge: believed affinity of every known n-gram.
-        let candidates: Vec<(String, Vec<f64>, f64)> = grams
-            .iter()
-            .filter_map(|g| self.believed_affinity(g).map(|(w, s)| (g.clone(), w, s)))
-            .collect();
+        let candidates = self.candidates(&tokens);
 
         // Class evidence with per-sample decision noise.
         let noise_scale = self.profile.decision_noise
@@ -213,7 +284,7 @@ impl SimulatedLlm {
         // Keyword selection: support for the chosen label.
         let mut scored: Vec<(&str, f64)> = candidates
             .iter()
-            .map(|(g, w, s)| {
+            .map(|&(sym, w, s)| {
                 let other = w
                     .iter()
                     .take(n_classes)
@@ -228,7 +299,7 @@ impl SimulatedLlm {
                 // magnitude below the broad baselines (Table 2).
                 let specificity = 1.0 / (1.0 + 20.0 * s);
                 (
-                    g.as_str(),
+                    self.gram(sym),
                     support * specificity + 0.15 * temperature * gauss(rng),
                 )
             })
@@ -329,12 +400,12 @@ impl SimulatedLlm {
     /// knowledge, ranked by believed coverage — which is exactly why such
     /// LFs are less precise than instance-grounded ones (§4.2).
     fn respond_generic(&self, class: usize, count: usize, rng: &mut StdRng) -> String {
-        let mut scored: Vec<(String, f64)> = self
+        let mut scored: Vec<(&str, f64)> = self
             .world
             .indicative_grams()
             .iter()
             .filter_map(|g| {
-                let (w, s) = self.believed_affinity(&g.gram)?;
+                let (w, s) = self.beliefs.row(self.world.known_symbol(&g.gram)?)?;
                 if w.get(class).copied().unwrap_or(0.0) < 0.3 {
                     return None;
                 }
@@ -342,22 +413,25 @@ impl SimulatedLlm {
                 // *common* phrases it associates with the class, not the
                 // most precise ones — and with substantial noise, since no
                 // concrete instance grounds the choice.
-                Some((g.gram.clone(), s + 0.03 * gauss(rng)))
+                Some((g.gram.as_str(), s + 0.03 * gauss(rng)))
             })
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut ranked = scored.into_iter().map(|(g, _)| g);
         // Without an instance to ground it, the model pads the list with
         // plausible-sounding generic words — broad coverage, no signal
         // (the over-generality that costs ScriptoriumWS ~11 accuracy
         // points in Table 2).
         let background = self.world.background_words();
-        let mut keywords: Vec<String> = Vec::with_capacity(count);
+        let padding = background.len().min(40);
+        // `count` comes from the request text: the list can never outgrow
+        // the distinct ranked grams plus the distinct padding words.
+        let mut keywords: Vec<&str> = Vec::with_capacity(count.min(scored.len() + padding));
+        let mut ranked = scored.into_iter().map(|(g, _)| g);
         while keywords.len() < count {
             let pick = if rng.gen::<f64>() < 0.2 && !background.is_empty() {
                 background
-                    .get(rng.gen_range(0..background.len().min(40)))
-                    .cloned()
+                    .get(rng.gen_range(0..padding))
+                    .map(String::as_str)
             } else {
                 ranked.next()
             };
@@ -388,16 +462,11 @@ impl SimulatedLlm {
         }
         // Cannot extend (trigram or keyword absent): fall back to the most
         // class-supportive other phrase in the passage.
-        let mut grams = extract_ngrams(&tokens, 3);
-        grams.sort_unstable();
-        grams.dedup();
-        let best = grams
-            .iter()
-            .filter(|g| g.as_str() != keyword)
-            .filter_map(|g| {
-                let (w, _) = self.believed_affinity(g)?;
-                Some((g, w.get(class).copied().unwrap_or(0.0)))
-            })
+        let best = self
+            .candidates(&tokens)
+            .into_iter()
+            .map(|(sym, w, _)| (self.gram(sym), w.get(class).copied().unwrap_or(0.0)))
+            .filter(|&(g, _)| g != keyword)
             .max_by(|a, b| a.1.total_cmp(&b.1));
         match best {
             Some((g, support)) if support > 0.5 => {
@@ -431,41 +500,41 @@ impl SimulatedLlm {
     /// [`ChatModel::complete_batch`] assign indices positionally and fan
     /// the batch out across threads.
     fn complete_at(&self, call_idx: u64, request: &ChatRequest) -> Result<ChatResponse, LlmError> {
-        let system_text: String = request
-            .messages
-            .iter()
-            .filter(|m| m.role == crate::message::Role::System)
-            .map(|m| m.content.as_str())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let user_text = request
-            .last_user()
-            .map(|m| m.content.clone())
-            .unwrap_or_default();
+        let system = || {
+            request
+                .messages
+                .iter()
+                .filter(|m| m.role == Role::System)
+                .map(|m| m.content.as_str())
+        };
+        let user_text = request.last_user().map_or("", |m| m.content.as_str());
+        // No marker contains `\n`, so testing each system message gives the
+        // same answer as testing their newline-joined text.
+        let in_system = |marker: &str| system().any(|text| text.contains(marker));
+        let requested = |marker: &str| in_system(marker) || user_text.contains(marker);
+        let system_text = || system().collect::<Vec<_>>().join("\n");
 
-        let cot = system_text.contains(COT_MARKER);
-        let label_only =
-            system_text.contains(LABEL_ONLY_MARKER) || user_text.contains(LABEL_ONLY_MARKER);
-        let generic = (system_text.contains(GENERIC_KEYWORDS_MARKER)
-            || user_text.contains(GENERIC_KEYWORDS_MARKER))
-        .then(|| parse_generic_request(&user_text, &system_text));
-        let revise = (system_text.contains(REVISE_MARKER) || user_text.contains(REVISE_MARKER))
-            .then(|| parse_revise_request(&user_text, &system_text));
-        let (query, provided_label) = extract_query(&user_text);
+        let cot = in_system(COT_MARKER);
+        let label_only = requested(LABEL_ONLY_MARKER);
+        let generic = requested(GENERIC_KEYWORDS_MARKER)
+            .then(|| parse_generic_request(user_text, &system_text()));
+        let revise =
+            requested(REVISE_MARKER).then(|| parse_revise_request(user_text, &system_text()));
+        let (query, provided_label) = extract_query(user_text);
 
-        let prompt_tokens = approx_token_count(&request.full_text());
+        let prompt_tokens = request.prompt_tokens();
         let mut completion_tokens = 0;
         let mut choices = Vec::with_capacity(request.n);
         for sample in 0..request.n {
             let mut rng =
                 StdRng::seed_from_u64(derive_seed(self.seed, derive_seed(call_idx, sample as u64)));
             let content = if let Some((keyword, class)) = &revise {
-                self.respond_revise(&query, keyword, *class, &mut rng)
+                self.respond_revise(query, keyword, *class, &mut rng)
             } else if let Some((class, count)) = generic {
                 self.respond_generic(class, count, &mut rng)
             } else {
                 self.respond_once(
-                    &query,
+                    query,
                     provided_label,
                     cot,
                     label_only,
@@ -576,9 +645,9 @@ fn parse_generic_request(user_text: &str, system_text: &str) -> (usize, usize) {
 /// Extract the final `Query:` text of the user message, plus a provided
 /// label if the prompt already states one after the query (the KATE
 /// auto-annotation mode of §3.3, where examples are labeled in advance).
-fn extract_query(user_text: &str) -> (String, Option<usize>) {
+fn extract_query(user_text: &str) -> (&str, Option<usize>) {
     let Some(qpos) = user_text.rfind(QUERY_PREFIX) else {
-        return (user_text.to_string(), None);
+        return (user_text, None);
     };
     let after = user_text.get(qpos + QUERY_PREFIX.len()..).unwrap_or("");
     // Query runs to the next structural marker (or message end).
@@ -588,7 +657,7 @@ fn extract_query(user_text: &str) -> (String, Option<usize>) {
             end = end.min(p);
         }
     }
-    let query = after.get(..end).unwrap_or("").trim().to_string();
+    let query = after.get(..end).unwrap_or("").trim();
     let provided_label = after
         .get(end..)
         .unwrap_or("")
@@ -704,6 +773,148 @@ mod tests {
     use super::*;
     use crate::message::ChatMessage;
     use datasculpt_data::DatasetName;
+    use datasculpt_text::extract_ngrams;
+    use proptest::prelude::*;
+
+    /// Reference: the per-gram belief computation the belief table
+    /// replaces, keyed by gram string and recomputing every hash.
+    fn reference_noise(sim: &SimulatedLlm, gram: &str, class: usize) -> f64 {
+        let key = hash_str(gram)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(hash_str(sim.profile.model.api_name()))
+            .wrapping_add(class as u64);
+        let u1 = ((derive_seed(key, 1) >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
+        let u2 = (derive_seed(key, 2) >> 11) as f64 / (1u64 << 53) as f64;
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    /// Reference: the model's belief about one gram, as computed per call
+    /// before the belief table existed.
+    fn reference_belief(sim: &SimulatedLlm, gram: &str) -> Option<(Vec<f64>, f64)> {
+        let probs = sim.world.affinity(gram)?;
+        let strength: f64 = probs.iter().sum();
+        if strength <= 0.0 {
+            return None;
+        }
+        let c = probs.len();
+        let mut w: Vec<f64> = probs.iter().map(|p| p / strength).collect();
+        for (cls, wc) in w.iter_mut().enumerate() {
+            *wc += sim.profile.knowledge_noise * reference_noise(sim, gram, cls);
+            if *wc < 0.0 {
+                *wc = 0.0;
+            }
+        }
+        let sum: f64 = w.iter().sum();
+        if sum <= 0.0 {
+            w = vec![1.0 / c as f64; c];
+        } else {
+            for wc in &mut w {
+                *wc /= sum;
+            }
+        }
+        Some((w, strength))
+    }
+
+    /// Reference: every 1–3-gram of the query, sorted and deduplicated as
+    /// strings, kept when the model has a belief about it.
+    fn reference_candidates(sim: &SimulatedLlm, tokens: &[String]) -> Vec<(String, Vec<f64>, f64)> {
+        let mut grams = extract_ngrams(tokens, 3);
+        grams.sort_unstable();
+        grams.dedup();
+        grams
+            .into_iter()
+            .filter_map(|g| reference_belief(sim, &g).map(|(w, s)| (g, w, s)))
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn belief_rows_match_the_per_gram_reference_bit_for_bit() {
+        for name in DatasetName::ALL {
+            let (_, world) = name.spec();
+            let world = Arc::new(world);
+            for model in ModelId::ALL {
+                let sim = SimulatedLlm::new(model, world.clone(), 0);
+                for sym in 0..world.known_len() as u32 {
+                    let gram = world.known_gram(sym).unwrap();
+                    let got = sim.beliefs.row(sym).map(|(w, s)| (bits(w), s.to_bits()));
+                    let want = reference_belief(&sim, gram).map(|(w, s)| (bits(&w), s.to_bits()));
+                    assert_eq!(got, want, "{name} {model:?} {gram:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The symbol walk finds exactly the reference candidates, in the
+        /// same order, with bit-identical beliefs — on queries mixing known
+        /// grams, background words and entity markers.
+        #[test]
+        fn candidates_match_the_sorted_string_reference(
+            picks in prop::collection::vec((0u8..3, 0usize..10_000), 0..40),
+            dataset in 0usize..6,
+            model in 0usize..5,
+        ) {
+            let name = DatasetName::ALL[dataset];
+            let (_, world) = name.spec();
+            let sim = SimulatedLlm::new(ModelId::ALL[model], world, 3);
+            let background = sim.world.background_words();
+            let words: Vec<String> = picks
+                .iter()
+                .map(|&(kind, i)| match kind {
+                    0 => sim.gram(i as u32 % sim.world.known_len() as u32).to_string(),
+                    1 => background[i % background.len()].clone(),
+                    _ => ["[A:john smith]", "[B:mary jones]", "[a]", "[b]"][i % 4].to_string(),
+                })
+                .collect();
+            let tokens = tokenize_query(&words.join(" "));
+            let got: Vec<(String, Vec<u64>, u64)> = sim
+                .candidates(&tokens)
+                .into_iter()
+                .map(|(sym, w, s)| (sim.gram(sym).to_string(), bits(w), s.to_bits()))
+                .collect();
+            let want: Vec<(String, Vec<u64>, u64)> = reference_candidates(&sim, &tokens)
+                .into_iter()
+                .map(|(g, w, s)| (g, bits(&w), s.to_bits()))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn clones_share_the_world_and_the_beliefs() {
+        let (_, world) = DatasetName::Youtube.spec();
+        let world = Arc::new(world);
+        let a = SimulatedLlm::new(ModelId::Gpt4, world.clone(), 1);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.world, &world));
+        assert!(Arc::ptr_eq(&a.beliefs, &b.beliefs));
+    }
+
+    #[test]
+    fn generic_mode_survives_a_huge_keyword_count() {
+        // The count is parsed from the request text; it must not size an
+        // allocation. Past what the world can produce, every count gives
+        // the same answer.
+        let ask_for = |count: &str| {
+            let mut m = sim(ModelId::Gpt4);
+            ask(
+                &mut m,
+                "You are a helpful assistant in a sentiment analysis task.",
+                &format!("{GENERIC_KEYWORDS_MARKER} for class 1. Return up to {count} keywords."),
+                1,
+            )
+        };
+        let huge = ask_for(&usize::MAX.to_string()).choices;
+        assert!(huge[0].content.contains("Label: 1"));
+        assert_eq!(huge, ask_for("1000000000000").choices);
+        assert_eq!(huge, ask_for("100000").choices);
+    }
 
     fn sim(model: ModelId) -> SimulatedLlm {
         let (_, world) = DatasetName::Imdb.spec();

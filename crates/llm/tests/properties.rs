@@ -18,6 +18,26 @@ proptest! {
         prop_assert_eq!(ta + tb, approx_token_count(&format!("{a} {b}")));
     }
 
+    /// A request's prompt tokens, summed per message, equal the count of
+    /// its newline-joined full text.
+    #[test]
+    fn prompt_tokens_count_the_full_text(
+        texts in prop::collection::vec("[a-zA-Z0-9 \n\t',.!?:éλ中€]{0,60}", 0..5),
+        roles in prop::collection::vec(0u8..3, 5),
+    ) {
+        let messages: Vec<ChatMessage> = texts
+            .iter()
+            .zip(&roles)
+            .map(|(text, role)| match role {
+                0 => ChatMessage::system(text.clone()),
+                1 => ChatMessage::user(text.clone()),
+                _ => ChatMessage::assistant(text.clone()),
+            })
+            .collect();
+        let request = ChatRequest::new(messages);
+        prop_assert_eq!(request.prompt_tokens(), approx_token_count(&request.full_text()));
+    }
+
     /// Cost is linear in tokens and non-negative for every model.
     #[test]
     fn pricing_linear(p in 0u64..1_000_000, c in 0u64..1_000_000) {

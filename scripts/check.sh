@@ -77,6 +77,9 @@ rm -f "$analyze_out"
 echo "==> hot-path bench smoke test (one iteration per kernel + JSON schema)"
 ./scripts/bench.sh --check
 
+echo "==> end-to-end benchmark smoke test (e2ebench builds against the public API and passes its checks)"
+./scripts/bench.sh --check e2e
+
 echo "==> parallel determinism smoke test (serial vs 8-thread run digest)"
 digest_at() {
   cargo run -q -p datasculpt --bin datasculpt -- \

@@ -9,6 +9,11 @@
 //! The end model is pinned the same way across its dimension-major
 //! rewrite: the digest of an uncertainty-sampler run (the pipeline's only
 //! dense-fit path), and the bits of sparse end-model probabilities.
+//!
+//! The simulated LLM is pinned across its known-gram index rewrite by
+//! whole transcripts: every response's content and token usage for
+//! PromptedLF (label-only mode), ScriptoriumWS (generic mode) and a
+//! DataSculpt-SC run with LF revision under the small Llama.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -140,5 +145,176 @@ fn sparse_end_model_probabilities_are_pinned() {
         drifted.is_empty(),
         "end-model probabilities drifted:\n{}",
         drifted.join("\n")
+    );
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+fn fnv(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |d, &b| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// A model wrapper that folds every response it serves into one FNV-1a
+/// digest: each choice's content, then the call's token usage, in call
+/// order. Batches are forwarded whole, so the inner model's batch path is
+/// the one pinned.
+struct Transcript<M> {
+    inner: M,
+    digest: u64,
+    calls: u64,
+    /// Choices that invented an example instead of answering.
+    hallucinations: u64,
+}
+
+impl<M: ChatModel> Transcript<M> {
+    fn new(inner: M) -> Self {
+        Self {
+            inner,
+            digest: FNV_OFFSET,
+            calls: 0,
+            hallucinations: 0,
+        }
+    }
+
+    fn record(&mut self, result: &Result<datasculpt::llm::ChatResponse, LlmError>) {
+        match result {
+            Ok(resp) => {
+                for choice in &resp.choices {
+                    if choice.content.starts_with("Here is another example") {
+                        self.hallucinations += 1;
+                    }
+                    self.digest = fnv(self.digest, choice.content.as_bytes());
+                    self.digest = fnv(self.digest, &[0xff]);
+                }
+                self.digest = fnv(self.digest, &resp.usage.prompt_tokens.to_le_bytes());
+                self.digest = fnv(self.digest, &resp.usage.completion_tokens.to_le_bytes());
+            }
+            Err(e) => self.digest = fnv(self.digest, e.to_string().as_bytes()),
+        }
+        self.calls += 1;
+    }
+}
+
+impl<M: ChatModel> ChatModel for Transcript<M> {
+    fn complete(
+        &mut self,
+        request: &ChatRequest,
+    ) -> Result<datasculpt::llm::ChatResponse, LlmError> {
+        let result = self.inner.complete(request);
+        self.record(&result);
+        result
+    }
+
+    fn complete_batch(
+        &mut self,
+        requests: &[ChatRequest],
+    ) -> Vec<Result<datasculpt::llm::ChatResponse, LlmError>> {
+        let results = self.inner.complete_batch(requests);
+        for result in &results {
+            self.record(result);
+        }
+        results
+    }
+
+    fn model_id(&self) -> ModelId {
+        self.inner.model_id()
+    }
+
+    fn advance_replayed(&mut self, calls: u64) {
+        self.inner.advance_replayed(calls);
+    }
+}
+
+/// Digest of every PromptedLF response and the resulting label matrix.
+fn promptedlf_digest(dataset: DatasetName, scale: f64) -> (u64, u64) {
+    let data = dataset.load_scaled(0, scale);
+    let llm = SimulatedLlm::new(ModelId::Gpt35Turbo, data.generative.clone(), 5);
+    let mut llm = Transcript::new(llm);
+    let result = promptedlf_run(&data, &mut llm);
+    let mut digest = llm.digest;
+    for column in result.matrix.columns() {
+        for vote in column {
+            digest = fnv(digest, &vote.to_le_bytes());
+        }
+    }
+    (digest, llm.calls)
+}
+
+#[test]
+fn promptedlf_transcripts_are_pinned() {
+    // The simulator's label-only path: every response's content and usage,
+    // then the vote matrix. Spouse adds `[A:…]` entity markers and the
+    // relation connector grams.
+    let cases: &[(DatasetName, f64, u64, u64)] = &[
+        (DatasetName::Sms, 0.02, 6643, 0x89da_ad3e_2411_4364),
+        (DatasetName::Spouse, 0.02, 4895, 0xddcc_a5b5_2f20_1a7f),
+    ];
+    let mut drifted = Vec::new();
+    for &(name, scale, calls, pinned) in cases {
+        let (got, served) = promptedlf_digest(name, scale);
+        println!("GOLDEN promptedlf {name:?} {got:#018x} ({served} calls)");
+        if (got, served) != (pinned, calls) {
+            drifted.push(format!(
+                "{name:?}: got {got:#018x} over {served} calls, pinned {pinned:#018x} over {calls}"
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "PromptedLF transcripts drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+#[test]
+fn scriptorium_transcripts_are_pinned() {
+    // The simulator's generic (instance-free) keyword mode, under every
+    // model profile.
+    let data = DatasetName::Youtube.load_scaled(0, 0.2);
+    let mut digest = FNV_OFFSET;
+    for model in ModelId::ALL {
+        let mut llm = Transcript::new(SimulatedLlm::new(model, data.generative.clone(), 3));
+        let result = scriptorium_run(&data, &mut llm, 9).expect("simulated model does not fail");
+        digest = fnv(digest, &llm.digest.to_le_bytes());
+        for lf in &result.lfs {
+            digest = fnv(digest, lf.keyword.as_bytes());
+            digest = fnv(digest, &(lf.label as u64).to_le_bytes());
+        }
+    }
+    println!("GOLDEN scriptorium {digest:#018x}");
+    assert_eq!(
+        digest, 0x72e2_7d85_d486_d5da,
+        "ScriptoriumWS transcripts drifted: {digest:#018x}"
+    );
+}
+
+#[test]
+fn sc_revision_transcript_is_pinned() {
+    // DataSculpt-SC with LF revision under the small Llama: chain of
+    // thought, self-consistency samples, keyword extensions, junk
+    // keywords, hallucinated examples and the revise prompt.
+    let data = DatasetName::Youtube.load_scaled(0, 0.2);
+    let mut config = DataSculptConfig::sc(7);
+    config.num_queries = 10;
+    config.revise_rejected = true;
+    let llm = SimulatedLlm::new(ModelId::Llama2Chat7b, data.generative.clone(), 7);
+    let mut llm = Transcript::new(llm);
+    let run = DataSculpt::new(&data, config)
+        .run(&mut llm)
+        .expect("simulated model does not fail");
+    let digest = fnv(llm.digest, &run.digest().to_le_bytes());
+    println!(
+        "GOLDEN sc-revise {digest:#018x} ({} calls, {} hallucinations)",
+        llm.calls, llm.hallucinations
+    );
+    // More calls than queries: rejected keywords were sent for revision.
+    assert!(llm.calls > 10 && llm.hallucinations > 0);
+    assert_eq!(
+        (digest, llm.calls),
+        (0x00e6_ff83_2ec5_380f, 22),
+        "SC revision transcript drifted: {digest:#018x}"
     );
 }
