@@ -15,8 +15,8 @@
 //!
 //! * `src/bin/hotpath.rs` — emits `BENCH_hotpath.json` (schema:
 //!   `docs/perf.md`); `scripts/bench.sh` wraps it and `scripts/check.sh`
-//!   runs the one-iteration `--check` mode as a schema smoke test.
-//! * `benches/microbench.rs` — criterion comparisons on the same kernels.
+//!   runs the one-iteration `--check` mode as a schema smoke test. It is
+//!   the workspace's only kernel-timing harness.
 
 use datasculpt::core::index::NgramIndex;
 use datasculpt::core::prompt::label_only_messages;

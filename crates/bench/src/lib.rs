@@ -221,34 +221,6 @@ pub fn run_datasculpt(
     outcome_from_eval(&eval, Some(&run.ledger))
 }
 
-/// Run `f` for each seed on the exec pool and average in seed order.
-pub fn run_seeds<F>(seeds: u64, f: F) -> Outcome
-where
-    F: Fn(u64) -> Outcome + Sync,
-{
-    let outcomes = Pool::auto()
-        .try_run(seeds as usize, |s| f(s as u64))
-        .unwrap_or_else(|e| panic!("seed run: {e}"));
-    average(&outcomes)
-}
-
-/// Run a ledger-producing `f` for each seed on the exec pool and merge
-/// the exact per-model ledgers in seed order (integer nano-USD all the
-/// way; floats only at display).
-pub fn run_seeds_ledger<F>(seeds: u64, f: F) -> UsageLedger
-where
-    F: Fn(u64) -> UsageLedger + Sync,
-{
-    let ledgers = Pool::auto()
-        .try_run(seeds as usize, |s| f(s as u64))
-        .unwrap_or_else(|e| panic!("seed run: {e}"));
-    let mut total = UsageLedger::new();
-    for l in &ledgers {
-        total.merge(l);
-    }
-    total
-}
-
 /// Self-observation for a bench driver: one `bench` stage span per dataset
 /// cell feeds a [`MetricsRecorder`] (and, with `DS_TRACE=<path>`, a JSONL
 /// file sink). [`finish`](Self::finish) drops the aggregated metrics as
@@ -385,13 +357,6 @@ pub fn generation_ledger(
         }
         other => panic!("unknown method {other}"),
     }
-}
-
-/// [`generation_ledger`] reduced to an [`Outcome`] (token/cost fields
-/// only); the USD figure comes from the ledger's exact nano-USD total via
-/// the shared `datasculpt_obs::cost` display boundary.
-pub fn generation_usage(dataset: &TextDataset, method: &str, model: ModelId, seed: u64) -> Outcome {
-    outcome_from_ledger(&generation_ledger(dataset, method, model, seed), 1)
 }
 
 /// Token/cost [`Outcome`] for a ledger merged over `seeds` runs (per-seed
@@ -1064,14 +1029,5 @@ mod tests {
         assert!(!cfg.datasets.is_empty());
         assert!(cfg.threads >= 1);
         assert_eq!(cfg.pool().threads(), cfg.threads);
-    }
-
-    #[test]
-    fn run_seeds_averages_in_parallel() {
-        let o = run_seeds(4, |s| Outcome {
-            n_lfs: s as f64,
-            ..Default::default()
-        });
-        assert!((o.n_lfs - 1.5).abs() < 1e-12);
     }
 }

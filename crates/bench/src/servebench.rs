@@ -25,6 +25,7 @@
 //!   fleet and validates the schema.
 
 use crate::hotpath::peak_rss_kb;
+use datasculpt::obs::hash::SplitMix64;
 use datasculpt::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -42,21 +43,13 @@ const JOB_SCALE: f64 = 0.05;
 /// Zipf support: job sizes in queries. `ZIPF_WEIGHTS[k]` ∝ 1/(k+1).
 const JOB_QUERIES: [u64; 5] = [1, 2, 3, 4, 5];
 
-/// SplitMix64: the bench's only randomness, fully determined by `seed`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Draw a Zipfian (s = 1) job size from [`JOB_QUERIES`].
-fn zipf_queries(state: &mut u64) -> u64 {
+/// Draw a Zipfian (s = 1) job size from [`JOB_QUERIES`]. SplitMix64 is
+/// the bench's only randomness, fully determined by `seed`.
+fn zipf_queries(rng: &mut SplitMix64) -> u64 {
     // Cumulative 1/(k+1) weights over the 5 sizes, scaled to integers:
     // 60/30/20/15/12 → cumulative 60, 90, 110, 125, 137.
     const CUM: [u64; 5] = [60, 90, 110, 125, 137];
-    let draw = splitmix64(state) % 137;
+    let draw = rng.next_u64() % 137;
     for (i, &edge) in CUM.iter().enumerate() {
         if draw < edge {
             return JOB_QUERIES.get(i).copied().unwrap_or(1);
@@ -126,7 +119,7 @@ pub fn run_report(tenants: usize, slots: usize, seed: u64) -> ServeReport {
     .expect("open bench service");
 
     // Submit the whole fleet up front: one job per tenant, Zipfian size.
-    let mut rng = seed ^ 0x00da_7a5c_u64;
+    let mut rng = SplitMix64::new(seed ^ 0x00da_7a5c_u64);
     let mut budgets: BTreeMap<String, u128> = BTreeMap::new();
     for i in 0..tenants {
         let tenant = format!("tenant-{i:05}");
@@ -261,7 +254,7 @@ mod tests {
 
     #[test]
     fn zipf_draw_stays_in_support_and_skews_small() {
-        let mut rng = 7u64;
+        let mut rng = SplitMix64::new(7);
         let mut counts = [0u64; 6];
         for _ in 0..1_000 {
             let q = zipf_queries(&mut rng) as usize;
@@ -271,6 +264,23 @@ mod tests {
             }
         }
         assert!(counts[1] > counts[5], "size 1 dominates size 5: {counts:?}");
+    }
+
+    #[test]
+    fn first_draws_are_pinned() {
+        // Every job size is a function of these draws, so a moved bit
+        // silently changes what BENCH_serve measures.
+        let mut rng = SplitMix64::new(1 ^ 0x00da_7a5c);
+        let draws: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x2c88_c654_9091_fea2,
+                0x3d5f_8f20_9bc0_9a1f,
+                0xa209_fc7c_77f8_aa7c,
+                0x9dce_13ff_5b88_ff85
+            ]
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub use crate::prompt::PromptStyle;
 use crate::sampler::{make_sampler, QuerySampler, SamplerKind};
 use datasculpt_data::TextDataset;
 use datasculpt_llm::{ChatMessage, ChatModel, LlmError, UsageLedger};
+use datasculpt_obs::hash::Fnv64;
 use std::collections::BTreeSet;
 
 /// Why a DataSculpt run aborted instead of producing a [`RunResult`].
@@ -236,28 +237,28 @@ impl RunResult {
 /// runs checkpoint this per iteration, so a resume can verify — iteration
 /// by iteration — that its replay reproduces the crashed run exactly.
 pub fn run_state_digest(lf_set: &LfSet, ledger: &UsageLedger, iterations: &[IterationLog]) -> u64 {
-    let mut d = Fnv::new();
-    d.eat_usize(lf_set.len());
+    let mut d = Fnv64::default();
+    d.eat_u64(lf_set.len() as u64);
     for lf in lf_set.lfs() {
         d.eat(lf.keyword.as_bytes());
-        d.eat_usize(lf.label);
+        d.eat_u64(lf.label as u64);
         d.eat(&[u8::from(lf.anchored)]);
     }
-    d.eat_usize(ledger.calls() as usize);
+    d.eat_u64(ledger.calls());
     for (model, usage) in ledger.per_model() {
         d.eat(model.api_name().as_bytes());
-        d.eat(&usage.prompt_tokens.to_le_bytes());
-        d.eat(&usage.completion_tokens.to_le_bytes());
+        d.eat_u64(usage.prompt_tokens);
+        d.eat_u64(usage.completion_tokens);
     }
-    d.eat_usize(iterations.len());
+    d.eat_u64(iterations.len() as u64);
     for it in iterations {
-        d.eat_usize(it.instance_id);
-        d.eat_usize(it.label.map_or(usize::MAX, |l| l));
+        d.eat_u64(it.instance_id as u64);
+        d.eat_u64(it.label.map_or(usize::MAX, |l| l) as u64);
         for kw in &it.keywords {
             d.eat(kw.as_bytes());
         }
-        d.eat_usize(it.accepted);
-        d.eat_usize(it.rejected);
+        d.eat_u64(it.accepted as u64);
+        d.eat_u64(it.rejected as u64);
         d.eat(&[u8::from(it.error.is_some())]);
     }
     d.finish()
@@ -292,34 +293,12 @@ pub struct IterationCheckpoint {
 ///
 /// Returning `Err` aborts the run with [`PipelineError::Checkpoint`]: a
 /// sink that cannot persist (or that detects a resume divergence) must
-/// stop the run rather than let it continue un-checkpointed.
+/// stop the run rather than let it continue un-checkpointed. It is also
+/// the per-iteration gate hook of `datasculpt_store::run_durable`, which
+/// consults a gate sink only after its checkpointer's sink succeeded.
 pub trait CheckpointSink {
     /// Persist or verify one iteration snapshot.
     fn on_iteration(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String>;
-}
-
-/// Incremental FNV-1a hasher for [`RunResult::digest`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn eat_usize(&mut self, v: usize) {
-        self.eat(&(v as u64).to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Outcome of the LF-integration stage for one iteration.

@@ -521,9 +521,9 @@ fn run_durably<M: ChatModel>(
     let corpus = Corpus::build(dataset);
     let outcome = if flags.has("--inject-crash-after") {
         let doomed = KillAfter::aborting_process(backend, crash_after);
-        run_durable(&corpus, &fingerprint, doomed, &dir, &opts, observer)
+        run_durable(&corpus, &fingerprint, doomed, &dir, &opts, observer, None)
     } else {
-        run_durable(&corpus, &fingerprint, backend, &dir, &opts, observer)
+        run_durable(&corpus, &fingerprint, backend, &dir, &opts, observer, None)
     };
     let outcome = match outcome {
         Ok(outcome) => outcome,

@@ -91,8 +91,8 @@ pub mod prelude {
         ServeConfig, ServeError, Service, TenantBook,
     };
     pub use datasculpt_store::{
-        run_durable, run_durable_gated, CheckpointError, CheckpointLog, DiskCachedModel,
-        DiskCheckpointer, DurableError, DurableOptions, DurableOutcome, IterationGate, KillAfter,
-        KillSwitch, ResponseStore, RunFingerprint, StoreError,
+        run_durable, CheckpointError, CheckpointLog, DiskCachedModel, DiskCheckpointer,
+        DurableError, DurableOptions, DurableOutcome, KillAfter, KillSwitch, ResponseStore,
+        RunFingerprint, StoreError,
     };
 }

@@ -50,6 +50,7 @@ pub mod clock;
 pub mod cost;
 pub mod event;
 pub mod expo;
+pub mod hash;
 pub mod hist;
 pub mod jsonl;
 pub mod metrics;

@@ -23,6 +23,7 @@
 //! count and wall-clock speed.
 
 use crate::event::{Counter, Event, Stage};
+use crate::hash::Fnv64;
 use crate::hist::LatencyHistogram;
 use crate::metrics::{MetricsSnapshot, ModelMetrics, StageMetrics};
 use crate::schema::{parse_object, validate_trace, JsonValue, ValidateError};
@@ -223,16 +224,6 @@ impl TraceAnalysis {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// Builds a [`TraceAnalysis`] incrementally — either from parsed trace
 /// lines ([`TraceAnalysis::from_trace`]) or live, as a [`TraceSink`] on a
 /// [`Tracer`](crate::Tracer). The two paths produce identical analyses
@@ -247,7 +238,7 @@ pub struct SpanTreeBuilder {
     /// Models of usage events attributed to each open span, parallel to
     /// `stack` — drained into the model-call histograms at span close.
     pending_models: Vec<Vec<String>>,
-    digest: u64,
+    digest: Fnv64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -277,13 +268,13 @@ impl SpanTreeBuilder {
             }],
             stack: Vec::new(),
             pending_models: Vec::new(),
-            digest: FNV_OFFSET,
+            digest: Fnv64::default(),
         }
     }
 
     /// Finish: materialize the aggregated arena into the final tree.
     pub fn finish(mut self) -> TraceAnalysis {
-        self.analysis.structural_digest = self.digest;
+        self.analysis.structural_digest = self.digest.finish();
         self.analysis.root = build_node(&self.nodes, 0);
         self.analysis.root.total_ns = self.analysis.root.children.iter().map(|c| c.total_ns).sum();
         self.analysis
@@ -293,8 +284,8 @@ impl SpanTreeBuilder {
     /// canonical form is the kind followed by the kind's wire-field values
     /// in schema order — exactly what both the live and parsed paths see.
     fn hash_event(&mut self, canonical: &str) {
-        fnv1a(&mut self.digest, canonical.as_bytes());
-        fnv1a(&mut self.digest, b"\n");
+        self.digest.eat(canonical.as_bytes());
+        self.digest.eat(b"\n");
     }
 
     fn note_kind(&mut self, kind: &str) {

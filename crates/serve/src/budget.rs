@@ -24,8 +24,7 @@
 //! iteration of a fresh job has no history to project from). The bench
 //! measures this bound empirically; `docs/serving.md` derives it.
 
-use datasculpt_core::IterationCheckpoint;
-use datasculpt_store::IterationGate;
+use datasculpt_core::{CheckpointSink, IterationCheckpoint};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -109,8 +108,9 @@ fn ceil_div(num: u128, den: u128) -> u128 {
     num / den + u128::from(!num.is_multiple_of(den))
 }
 
-/// The per-job continuation gate, consulted by the durable runner after
-/// every checkpointed iteration (see [`datasculpt_store::IterationGate`]).
+/// The per-job continuation gate: a [`CheckpointSink`] the durable runner
+/// consults after every checkpointed iteration (the `gate` of
+/// [`datasculpt_store::run_durable`]).
 #[derive(Debug, Clone)]
 pub struct BudgetGate {
     tenant: String,
@@ -147,8 +147,8 @@ impl BudgetGate {
     }
 }
 
-impl IterationGate for BudgetGate {
-    fn after_checkpoint(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String> {
+impl CheckpointSink for BudgetGate {
+    fn on_iteration(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String> {
         let mut book = match self.book.lock() {
             Ok(b) => b,
             Err(poisoned) => poisoned.into_inner(),
@@ -221,16 +221,16 @@ mod tests {
         let mut gate = BudgetGate::new("a", 1, book.clone(), Arc::new(AtomicBool::new(false)));
 
         // Iteration 0 cost 100: projection 100 <= remaining 150 → continue.
-        gate.after_checkpoint(&snapshot(0, 100)).expect("continue");
+        gate.on_iteration(&snapshot(0, 100)).expect("continue");
         // Iteration 1 cumulative 200: projection 100 > remaining 50 → pause.
-        let err = gate.after_checkpoint(&snapshot(1, 200)).unwrap_err();
+        let err = gate.on_iteration(&snapshot(1, 200)).unwrap_err();
         assert!(err.starts_with(PAUSE_PREFIX), "{err}");
         // Spend was committed before pausing: the book knows the 200.
         assert_eq!(book.lock().unwrap().account("a").spent_nanousd(), 200);
 
         // A top-up makes the same snapshot pass again (resume path).
         book.lock().unwrap().top_up("a", 1000);
-        gate.after_checkpoint(&snapshot(1, 200)).expect("resumed");
+        gate.on_iteration(&snapshot(1, 200)).expect("resumed");
     }
 
     #[test]
@@ -239,9 +239,9 @@ mod tests {
         book.lock().unwrap().top_up("a", u128::MAX);
         let cancel = Arc::new(AtomicBool::new(false));
         let mut gate = BudgetGate::new("a", 1, book, cancel.clone());
-        gate.after_checkpoint(&snapshot(0, 1)).expect("live");
+        gate.on_iteration(&snapshot(0, 1)).expect("live");
         cancel.store(true, Ordering::SeqCst);
-        let err = gate.after_checkpoint(&snapshot(1, 2)).unwrap_err();
+        let err = gate.on_iteration(&snapshot(1, 2)).unwrap_err();
         assert!(err.starts_with(CANCEL_PREFIX), "{err}");
     }
 }

@@ -22,6 +22,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// The longest request line the daemon reads, newline excluded. A
+/// `submit` line is a few hundred bytes; a client that sends more without
+/// a newline gets an error reply and is disconnected, so no connection
+/// can grow the daemon's memory without bound.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
@@ -167,19 +173,33 @@ fn lock_service<'a>(service: &'a Arc<Mutex<Service>>) -> std::sync::MutexGuard<'
 
 /// Serve one client: a loop of request lines, each answered per the
 /// protocol. A `drain` request finishes the work, answers, and trips the
-/// daemon-wide shutdown flag.
+/// daemon-wide shutdown flag. A line longer than [`MAX_REQUEST_BYTES`]
+/// is answered with an error and ends the connection.
 fn handle_connection(
     mut conn: Box<dyn Conn>,
     service: &Arc<Mutex<Service>>,
     shutdown: &Arc<AtomicBool>,
 ) {
     let mut reader = BufReader::new(ConnReader(&mut conn));
+    let mut bytes = Vec::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        bytes.clear();
+        let mut line_reader = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
+        match line_reader.read_until(b'\n', &mut bytes) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if bytes.len() > MAX_REQUEST_BYTES && !bytes.ends_with(b"\n") {
+            let error = render_error(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
+            let conn = &mut reader.get_mut().0;
+            conn.write_all(format!("{error}\n").as_bytes())
+                .and_then(|()| conn.flush())
+                .ok();
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -281,29 +301,28 @@ mod tests {
         out
     }
 
-    #[test]
-    fn daemon_serves_submit_status_drain_over_a_unix_socket() {
-        let dir = tempdir();
-        let endpoint = Endpoint::Unix(dir.join("serve.sock"));
+    /// Start a daemon on a Unix socket in `dir` and wait for the socket.
+    fn start(dir: &std::path::Path) -> (std::thread::JoinHandle<Result<(), ServeError>>, PathBuf) {
+        let path = dir.join("serve.sock");
+        let endpoint = Endpoint::Unix(path.clone());
         let service = Service::open(&dir.join("state"), ServeConfig::default()).expect("open");
-        let daemon = {
-            let endpoint = endpoint.clone();
-            // ds-lint: allow(raw-thread): test drives the daemon from a
-            // client thread; the daemon itself must block in its accept loop.
-            std::thread::spawn(move || run_daemon(service, &endpoint))
-        };
-
-        // Wait for the socket to exist, then connect.
-        let Endpoint::Unix(path) = &endpoint else {
-            unreachable!()
-        };
+        // ds-lint: allow(raw-thread): test drives the daemon from a
+        // client thread; the daemon itself must block in its accept loop.
+        let daemon = std::thread::spawn(move || run_daemon(service, &endpoint));
         for _ in 0..500 {
             if path.exists() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        let mut stream = UnixStream::connect(path).expect("connect");
+        (daemon, path)
+    }
+
+    #[test]
+    fn daemon_serves_submit_status_drain_over_a_unix_socket() {
+        let dir = tempdir();
+        let (daemon, path) = start(&dir);
+        let mut stream = UnixStream::connect(&path).expect("connect");
 
         let pong = request(&mut stream, "{\"op\":\"ping\"}", 1);
         assert!(pong[0].contains("\"pong\":true"), "{pong:?}");
@@ -332,6 +351,39 @@ mod tests {
         let reopened = Service::open(&dir.join("state"), ServeConfig::default()).expect("reopen");
         let status = reopened.status(1).expect("job 1");
         assert_eq!(status.state, crate::job::JobState::Completed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn over_long_request_line_is_refused_and_disconnected() {
+        let dir = tempdir();
+        let (daemon, path) = start(&dir);
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        // One byte past the cap and no newline, with the socket held open:
+        // the daemon must answer rather than keep buffering.
+        stream
+            .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+            .expect("write");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("error reply before timeout");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("eof"), 0, "closed");
+
+        // The daemon itself is unharmed.
+        let mut fresh = UnixStream::connect(&path).expect("reconnect");
+        let pong = request(&mut fresh, "{\"op\":\"ping\"}", 1);
+        assert!(pong[0].contains("\"pong\":true"), "{pong:?}");
+        let drained = request(&mut fresh, "{\"op\":\"drain\"}", 1);
+        assert!(drained[0].contains("\"drained\":true"), "{drained:?}");
+        daemon.join().expect("join").expect("daemon exit");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

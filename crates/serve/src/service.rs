@@ -35,14 +35,13 @@
 use crate::budget::{BudgetGate, TenantAccount, TenantBook, CANCEL_PREFIX, PAUSE_PREFIX};
 use crate::job::{JobSpec, JobState, JobStatus};
 use crate::registry::{JobRegistry, RegistryRecord};
-use datasculpt_core::{Corpus, IterationCheckpoint};
+use datasculpt_core::{CheckpointSink, Corpus, IterationCheckpoint};
 use datasculpt_data::TextDataset;
 use datasculpt_exec::Pool;
 use datasculpt_llm::{ChatModel, ModelId, PricingTable, SimulatedLlm, UsageLedger};
 use datasculpt_obs::{Counter, Event, RunObserver, SharedObserver, Stage};
 use datasculpt_store::{
-    run_durable_gated, DurableError, DurableOptions, DurableOutcome, IterationGate, KillSwitch,
-    StoreError,
+    run_durable, DurableError, DurableOptions, DurableOutcome, KillSwitch, StoreError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -189,9 +188,9 @@ struct TrackedGate {
     progress: Arc<Mutex<JobProgress>>,
 }
 
-impl IterationGate for TrackedGate {
-    fn after_checkpoint(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String> {
-        let decision = self.inner.after_checkpoint(snapshot);
+impl CheckpointSink for TrackedGate {
+    fn on_iteration(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String> {
+        let decision = self.inner.on_iteration(snapshot);
         let mut p = match self.progress.lock() {
             Ok(p) => p,
             Err(poisoned) => poisoned.into_inner(),
@@ -580,7 +579,7 @@ impl Service {
                     progress: entry.progress.clone(),
                 };
                 let backend = factory(&entry.spec, corpus.dataset());
-                run_durable_gated(
+                run_durable(
                     corpus,
                     &fingerprint,
                     backend,

@@ -24,6 +24,7 @@ use datasculpt_core::pipeline::PromptStyle;
 use datasculpt_core::pipeline::{CheckpointSink, IterationCheckpoint};
 use datasculpt_core::DataSculptConfig;
 use datasculpt_core::{IclStrategy, SamplerKind};
+use datasculpt_obs::hash::Fnv64;
 use datasculpt_obs::{Counter, Event, RunObserver, SharedObserver, Stage};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -62,7 +63,7 @@ impl RunFingerprint {
     /// digest-invariant by the workspace determinism contract, so a run
     /// may be resumed with a different `--threads`.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
+        let mut h = Fnv64::default();
         h.eat(self.dataset.as_bytes());
         h.eat_u64(self.dataset_seed);
         h.eat_u64(self.scale_bits);
@@ -98,30 +99,6 @@ impl RunFingerprint {
         h.eat_u64(c.max_consecutive_failures as u64);
         h.eat_u64(c.seed);
         h.finish()
-    }
-}
-
-/// 64-bit FNV-1a (same constants as the run digest).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -563,6 +540,13 @@ mod tests {
         let mut other = fp.clone();
         other.config.threads = 8;
         assert_eq!(base, other.digest());
+    }
+
+    #[test]
+    fn fingerprint_digest_is_pinned() {
+        // Every checkpoint header on disk carries these bits; a moved bit
+        // would refuse every existing run directory as a config mismatch.
+        assert_eq!(fingerprint().digest(), 0x6b8d_da31_b446_0700);
     }
 
     #[test]

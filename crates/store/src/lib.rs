@@ -46,9 +46,7 @@ pub use disk_cache::DiskCachedModel;
 pub use framing::{FramedLog, ScanOutcome, TornTail};
 pub use inject::{tear_tail, KillAfter, KillSwitch};
 pub use response::request_digest;
-pub use runner::{
-    run_durable, run_durable_gated, DurableError, DurableOptions, DurableOutcome, IterationGate,
-};
+pub use runner::{run_durable, DurableError, DurableOptions, DurableOutcome};
 pub use store::ResponseStore;
 
 /// A durable-storage failure: an I/O error with its path and operation, or

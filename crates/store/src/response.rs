@@ -9,34 +9,12 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use datasculpt_llm::{ChatChoice, ChatRequest, ChatResponse, ModelId, Role, TokenUsage};
-
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-
-/// Incremental 128-bit FNV-1a.
-struct Fnv128(u128);
-
-impl Fnv128 {
-    fn new() -> Self {
-        Fnv128(FNV128_OFFSET)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u128::from(*b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-}
+use datasculpt_obs::hash::Fnv128;
 
 /// The store key for one request: a 128-bit digest of its structural
 /// identity (messages with roles, temperature bits, sample count).
 pub fn request_digest(request: &ChatRequest) -> u128 {
-    let mut d = Fnv128::new();
+    let mut d = Fnv128::default();
     d.eat_u64(request.messages.len() as u64);
     for message in &request.messages {
         let role = match message.role {
@@ -50,7 +28,7 @@ pub fn request_digest(request: &ChatRequest) -> u128 {
     }
     d.eat_u64(request.temperature.to_bits());
     d.eat_u64(request.n as u64);
-    d.0
+    d.finish()
 }
 
 /// Resolve a stored model API name back to a [`ModelId`].
@@ -147,6 +125,30 @@ mod tests {
         let a = ChatRequest::new(vec![ChatMessage::user("ab"), ChatMessage::user("c")]);
         let b = ChatRequest::new(vec![ChatMessage::user("a"), ChatMessage::user("bc")]);
         assert_ne!(request_digest(&a), request_digest(&b));
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        // These bits key every record of every response store on disk; a
+        // moved bit would silently stop existing stores from replaying.
+        let labelled = ChatRequest::new(vec![
+            ChatMessage::system("You label"),
+            ChatMessage::user("Query: spam?"),
+        ]);
+        assert_eq!(
+            request_digest(&labelled),
+            0xd7ad_ce10_8db1_09ef_66ef_b6ab_9ecb_3936
+        );
+        let sampled = ChatRequest::new(vec![
+            ChatMessage::user("Query: same"),
+            ChatMessage::assistant("Label: 1"),
+        ])
+        .with_temperature(0.0)
+        .with_n(10);
+        assert_eq!(
+            request_digest(&sampled),
+            0xaff6_1cde_3a0c_a94c_95bd_fc03_d6e8_b802
+        );
     }
 
     #[test]

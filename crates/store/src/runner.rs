@@ -122,35 +122,18 @@ impl From<CheckpointError> for DurableError {
     }
 }
 
-/// A per-iteration admission hook for gated durable runs
-/// ([`run_durable_gated`]).
-///
-/// The gate is consulted *after* the iteration's snapshot has been
-/// persisted (or verified, during a resume replay) by the
-/// [`DiskCheckpointer`], so a gate that stops the run never loses state:
-/// the aborted run resumes bit-identically from the iteration it was
-/// stopped at. Returning `Err` surfaces as
-/// [`PipelineError::Checkpoint`] with the gate's message — callers (the
-/// serving daemon's budget admission control) encode pause/cancel
-/// decisions in the message and classify the error on the way out.
-pub trait IterationGate {
-    /// Decide whether the run may proceed past this (already durable)
-    /// iteration snapshot.
-    fn after_checkpoint(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String>;
-}
-
 /// [`CheckpointSink`] adapter: persist through the checkpointer first,
 /// then consult the gate.
 struct GatedSink<'c, 'g> {
     checkpointer: &'c mut DiskCheckpointer,
-    gate: Option<&'g mut dyn IterationGate>,
+    gate: Option<&'g mut dyn CheckpointSink>,
 }
 
 impl CheckpointSink for GatedSink<'_, '_> {
     fn on_iteration(&mut self, snapshot: &IterationCheckpoint) -> Result<(), String> {
         self.checkpointer.on_iteration(snapshot)?;
         if let Some(gate) = self.gate.as_deref_mut() {
-            gate.after_checkpoint(snapshot)?;
+            gate.on_iteration(snapshot)?;
         }
         Ok(())
     }
@@ -165,6 +148,16 @@ impl CheckpointSink for GatedSink<'_, '_> {
 /// [`DiskCachedModel`] — pass it *unwrapped* (retry middleware is fine;
 /// an in-memory cache on top would change which calls reach the disk
 /// layer between the original run and its resume).
+///
+/// `gate`, if given, is a second [`CheckpointSink`] consulted after every
+/// iteration — the serving daemon's budget admission hook. It sees each
+/// snapshot only *after* the checkpointer has persisted it (or verified
+/// it, during a resume replay), so a gate that stops the run never loses
+/// state: the aborted run resumes bit-identically from the iteration it
+/// was stopped at. A gate's `Err` surfaces as
+/// [`PipelineError::Checkpoint`] with the gate's message; the daemon
+/// encodes pause/cancel decisions in that message and classifies the
+/// error on the way out.
 pub fn run_durable<M: ChatModel>(
     corpus: &Corpus,
     fingerprint: &RunFingerprint,
@@ -172,21 +165,7 @@ pub fn run_durable<M: ChatModel>(
     dir: &Path,
     opts: &DurableOptions,
     observer: Option<SharedObserver>,
-) -> Result<DurableOutcome, DurableError> {
-    run_durable_gated(corpus, fingerprint, backend, dir, opts, observer, None)
-}
-
-/// [`run_durable`] with an optional [`IterationGate`] consulted after
-/// every durable iteration snapshot — the serving daemon's budget
-/// admission hook.
-pub fn run_durable_gated<M: ChatModel>(
-    corpus: &Corpus,
-    fingerprint: &RunFingerprint,
-    backend: M,
-    dir: &Path,
-    opts: &DurableOptions,
-    observer: Option<SharedObserver>,
-    gate: Option<&mut dyn IterationGate>,
+    gate: Option<&mut dyn CheckpointSink>,
 ) -> Result<DurableOutcome, DurableError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| DurableError::Store(StoreError::io(dir, "create-dir", &e)))?;
@@ -333,6 +312,7 @@ mod tests {
             &dir,
             &DurableOptions::default(),
             None,
+            None,
         )
         .unwrap();
         assert_eq!(outcome.result.digest(), plain.digest());
@@ -359,6 +339,7 @@ mod tests {
             &dir_a,
             &DurableOptions::default(),
             None,
+            None,
         )
         .unwrap();
 
@@ -377,6 +358,7 @@ mod tests {
                 ..DurableOptions::default()
             },
             None,
+            None,
         );
         assert!(
             matches!(crashed, Err(DurableError::Pipeline(_))),
@@ -394,6 +376,7 @@ mod tests {
                 require_existing: true,
                 ..DurableOptions::default()
             },
+            None,
             None,
         )
         .unwrap();
@@ -421,6 +404,7 @@ mod tests {
                 ..DurableOptions::default()
             },
             None,
+            None,
         )
         .unwrap();
         assert_eq!(replayed.result.digest(), baseline.result.digest());
@@ -445,6 +429,7 @@ mod tests {
                 require_existing: true,
                 ..DurableOptions::default()
             },
+            None,
             None,
         )
         .unwrap_err();

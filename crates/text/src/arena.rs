@@ -1,7 +1,7 @@
 //! Interned token arena: string → dense `u32` symbol.
 //!
 //! Every hot structure downstream of tokenization (n-gram index, TF-IDF
-//! featurizer, vocabulary, LF keyword memos) used to carry its own
+//! featurizer, LF keyword memos) used to carry its own
 //! `String`-keyed map or per-structure `u64` hash sets. The arena replaces
 //! them with one shared representation: each distinct string is stored
 //! once in a contiguous byte buffer and addressed by a `u32` symbol

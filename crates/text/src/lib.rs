@@ -1,8 +1,8 @@
 //! Text-processing substrate for the DataSculpt reproduction.
 //!
 //! This crate provides the low-level text machinery every other crate builds
-//! on: deterministic tokenization, n-gram extraction, vocabularies, hashed
-//! TF-IDF features, random-projection embeddings (the BERT substitute used by
+//! on: deterministic tokenization, n-gram extraction, an interned token
+//! arena, hashed TF-IDF features, random-projection embeddings (the BERT substitute used by
 //! the end model and by KATE exemplar selection), and seedable random
 //! distributions (Zipf, Gaussian, categorical) used by the synthetic corpus
 //! generators.
@@ -19,7 +19,6 @@ pub mod features;
 pub mod ngram;
 pub mod rng;
 pub mod tokenize;
-pub mod vocab;
 
 pub use arena::TokenArena;
 pub use embed::{cosine_similarity, Embedder, RandomProjection};
@@ -27,4 +26,3 @@ pub use features::{FeatureMatrix, HashedTfIdf, ShapeError};
 pub use ngram::{contains_ngram, extract_ngrams, for_each_ngram, Ngram};
 pub use rng::{Categorical, Gaussian, Zipf};
 pub use tokenize::{normalize, tokenize, tokenize_keep_markers};
-pub use vocab::Vocabulary;

@@ -3,8 +3,11 @@
 //!
 //! Only `rand` (no `rand_distr`) is a dependency, so Zipf and Gaussian
 //! sampling are implemented here: Zipf by inverse-CDF over a precomputed
-//! table, Gaussian by the Box–Muller transform.
+//! table, Gaussian by the Box–Muller transform. The seed-keying functions
+//! [`derive_seed`] and [`hash_str`] are re-exported from
+//! [`datasculpt_obs::hash`], the workspace's one hash module.
 
+pub use datasculpt_obs::hash::{derive_seed, hash_str};
 use rand::Rng;
 
 /// Zipf-distributed sampler over ranks `0..n` (rank 0 is most frequent).
@@ -143,31 +146,6 @@ impl Categorical {
     }
 }
 
-/// Derive a child seed from a base seed and a stream identifier.
-///
-/// Uses the SplitMix64 finalizer so nearby `(seed, stream)` pairs produce
-/// uncorrelated child seeds. All per-instance / per-request randomness in the
-/// simulators is keyed this way, making runs independent of iteration order.
-pub fn derive_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Stable 64-bit FNV-1a hash of a string, used to key per-text randomness.
-pub fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +229,17 @@ mod tests {
         assert_ne!(a, c);
         // Deterministic.
         assert_eq!(a, derive_seed(42, 0));
+    }
+
+    #[test]
+    fn hash_str_and_derive_seed_are_pinned() {
+        // Every per-text and per-request stream of the simulators is keyed
+        // by these bits; a moved bit moves every digest and transcript.
+        assert_eq!(hash_str("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash_str("free iphone"), 0x52f7_4f5f_3a2a_a054);
+        assert_eq!(derive_seed(0, 0), 0x2848_d6a4_a7b2_8bc1);
+        assert_eq!(derive_seed(42, 7), 0xd561_b664_f014_940c);
+        assert_eq!(derive_seed(u64::MAX, 1), 0x7fbe_5e28_6cac_1ac3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use datasculpt_text::features::l2_normalize;
 use datasculpt_text::ngram::{contains_ngram, extract_ngrams, ngram_order};
 use datasculpt_text::rng::{derive_seed, hash_str, Categorical, Gaussian, Zipf};
-use datasculpt_text::{normalize, tokenize, tokenize_keep_markers, HashedTfIdf, Vocabulary};
+use datasculpt_text::{normalize, tokenize, tokenize_keep_markers, HashedTfIdf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,20 +54,6 @@ proptest! {
         let brute = (0..tokens.len().saturating_sub(probe.len() - 1))
             .any(|i| (0..probe.len()).all(|j| tokens[i + j] == probe[j]));
         prop_assert_eq!(contains_ngram(&tokens, &gram), brute);
-    }
-
-    /// Vocabulary ids are dense, stable, and df ≤ docs.
-    #[test]
-    fn vocab_invariants(docs in proptest::collection::vec(
-        proptest::collection::vec("[a-f]{1,3}", 0..10), 0..10)) {
-        let doc_refs: Vec<&[String]> = docs.iter().map(Vec::as_slice).collect();
-        let v = Vocabulary::from_documents(doc_refs.iter().copied());
-        prop_assert_eq!(v.num_docs(), docs.len());
-        for (token, id, df) in v.iter() {
-            prop_assert_eq!(v.id(token), Some(id));
-            prop_assert_eq!(v.token(id), Some(token));
-            prop_assert!(df >= 1 && df <= docs.len());
-        }
     }
 
     /// TF-IDF sparse and dense transforms agree; vectors are unit norm or

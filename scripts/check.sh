@@ -36,6 +36,17 @@ if ! cargo run -q -p datasculpt-xtask -- lint --fix-dry-run; then
   exit 1
 fi
 
+echo "==> one hash module (FNV-1a and SplitMix64 constants only in crates/obs/src/hash.rs)"
+# The FNV-1a-64 and FNV-1a-128 offset bases and the SplitMix64 multiplier,
+# matched in any case and with `_` anywhere between digits. Test oracles
+# under tests/ are outside crates/*/src and stay independent.
+hash_pattern="$(printf '%s\n' cbf29ce484222325 6c62272e07bb014262b821756295c58d bf58476d1ce4e5b9 \
+  | sed 's/./&_*/g' | paste -sd '|')"
+if grep -rniE "$hash_pattern" crates/*/src | grep -v '^crates/obs/src/hash\.rs:'; then
+  echo "FAIL: a hash constant outside crates/obs/src/hash.rs (use datasculpt_obs::hash)" >&2
+  exit 1
+fi
+
 echo "==> cargo test"
 cargo test -q --workspace
 

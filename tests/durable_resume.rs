@@ -73,8 +73,8 @@ fn killed_at_every_backend_call_a_run_resumes_bit_identically() {
     let fp = fingerprint();
 
     let dir = tempdir("baseline");
-    let baseline =
-        run_durable(&d, &fp, backend(&d), &dir, &DurableOptions::default(), None).unwrap();
+    let plain = DurableOptions::default();
+    let baseline = run_durable(&d, &fp, backend(&d), &dir, &plain, None, None).unwrap();
     let total_calls = baseline.store_stats.misses;
     assert!(total_calls >= 4, "config too small to exercise kill points");
     std::fs::remove_dir_all(&dir).ok();
@@ -98,6 +98,7 @@ fn killed_at_every_backend_call_a_run_resumes_bit_identically() {
                 ..DurableOptions::default()
             },
             None,
+            None,
         );
         assert!(switch.is_dead(), "kill point {kill_at} never tripped");
 
@@ -111,6 +112,7 @@ fn killed_at_every_backend_call_a_run_resumes_bit_identically() {
                 require_existing: true,
                 ..DurableOptions::default()
             },
+            None,
             None,
         )
         .unwrap();
@@ -193,6 +195,7 @@ fn resumed_trace_replays_the_uninterrupted_trace() {
         &dir_a,
         &DurableOptions::default(),
         Some(observed(&baseline_events)),
+        None,
     )
     .unwrap();
 
@@ -209,6 +212,7 @@ fn resumed_trace_replays_the_uninterrupted_trace() {
             ..DurableOptions::default()
         },
         None,
+        None,
     );
     assert!(matches!(crashed, Err(DurableError::Pipeline(_))));
 
@@ -223,6 +227,7 @@ fn resumed_trace_replays_the_uninterrupted_trace() {
             ..DurableOptions::default()
         },
         Some(observed(&resumed_events)),
+        None,
     )
     .unwrap();
     assert_eq!(resumed.result.digest(), baseline.result.digest());
@@ -252,6 +257,7 @@ fn torn_response_tail_resumes_bit_identically() {
         &dir_a,
         &DurableOptions::default(),
         None,
+        None,
     )
     .unwrap();
 
@@ -267,6 +273,7 @@ fn torn_response_tail_resumes_bit_identically() {
             kill: Some(switch),
             ..DurableOptions::default()
         },
+        None,
         None,
     );
 
@@ -284,6 +291,7 @@ fn torn_response_tail_resumes_bit_identically() {
             require_existing: true,
             ..DurableOptions::default()
         },
+        None,
         None,
     )
     .unwrap();
@@ -335,6 +343,7 @@ fn store_counters_match_cache_stats_across_a_resume() {
             ..DurableOptions::default()
         },
         Some(observed(&baseline_events)),
+        None,
     );
     assert!(switch.is_dead());
     {
@@ -360,6 +369,7 @@ fn store_counters_match_cache_stats_across_a_resume() {
             ..DurableOptions::default()
         },
         Some(observed(&resumed_events)),
+        None,
     )
     .unwrap();
 
@@ -392,6 +402,7 @@ fn sparse_checkpoint_cadence_resumes_bit_identically() {
         &dir_a,
         &DurableOptions::default(),
         None,
+        None,
     )
     .unwrap();
 
@@ -412,6 +423,7 @@ fn sparse_checkpoint_cadence_resumes_bit_identically() {
             ..every.clone()
         },
         None,
+        None,
     );
 
     let resumed = run_durable(
@@ -423,6 +435,7 @@ fn sparse_checkpoint_cadence_resumes_bit_identically() {
             require_existing: true,
             ..every
         },
+        None,
         None,
     )
     .unwrap();
@@ -444,10 +457,11 @@ fn complete_directory_replays_for_free() {
     let d = corpus();
     let fp = fingerprint();
     let dir = tempdir("free");
-    let first = run_durable(&d, &fp, backend(&d), &dir, &DurableOptions::default(), None).unwrap();
+    let plain = DurableOptions::default();
+    let first = run_durable(&d, &fp, backend(&d), &dir, &plain, None, None).unwrap();
     assert!(first.billed_nanousd > 0);
 
-    let again = run_durable(&d, &fp, backend(&d), &dir, &DurableOptions::default(), None).unwrap();
+    let again = run_durable(&d, &fp, backend(&d), &dir, &plain, None, None).unwrap();
     assert_eq!(again.result.digest(), first.result.digest());
     assert_eq!(again.billed_nanousd, 0, "zero nano-USD re-billed");
     assert_eq!(again.store_stats.misses, 0);

@@ -299,6 +299,7 @@ fn solo_run(spec: &JobSpec, dir: &Path) -> DurableOutcome {
         dir,
         &DurableOptions::default(),
         None,
+        None,
     )
     .expect("solo run")
 }
