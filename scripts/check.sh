@@ -85,6 +85,20 @@ if ! diff -u tests/fixtures/trace_small_analyze.json "$analyze_out"; then
 fi
 rm -f "$analyze_out"
 
+echo "==> trace check/analyze/flame/expo fixtures (CLI output matches tests/fixtures/)"
+for report in check analyze flame expo; do
+  report_out="$(mktemp /tmp/ds-trace-report.XXXXXX.txt)"
+  cargo run -q -p datasculpt --bin datasculpt -- \
+    trace "$report" tests/fixtures/trace_small.jsonl > "$report_out"
+  if ! diff -u "tests/fixtures/trace_small_$report.txt" "$report_out"; then
+    echo "FAIL: trace $report drifted from tests/fixtures/trace_small_$report.txt" >&2
+    echo "  (intentional change? DS_REGEN_FIXTURES=1 cargo test --test trace_analytics)" >&2
+    rm -f "$report_out"
+    exit 1
+  fi
+  rm -f "$report_out"
+done
+
 echo "==> hot-path bench smoke test (one iteration per kernel + JSON schema)"
 ./scripts/bench.sh --check
 

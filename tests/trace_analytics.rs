@@ -7,8 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use datasculpt::obs::report;
-use datasculpt::obs::Record;
+use datasculpt::obs::{render_prometheus, report, Record};
 use datasculpt::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -51,14 +50,17 @@ impl TraceSink for LiveTree {
 }
 
 /// One observed same-seed run at `threads`: returns the trace text, the
-/// live-built analysis, and the run result.
-fn traced_run(threads: usize) -> (String, TraceAnalysis, RunResult) {
+/// live-built analysis, the run result, and a metrics recorder that saw
+/// the same records.
+fn traced_run(threads: usize) -> (String, TraceAnalysis, RunResult, MetricsRecorder) {
     let d = dataset();
     let buf = Buf::default();
     let live = LiveTree(Arc::new(Mutex::new(SpanTreeBuilder::new())));
+    let metrics = MetricsRecorder::new();
     let mut tracer = Tracer::new(Box::new(ManualClock::new(100)));
     tracer.add_sink(Box::new(JsonlTraceSink::new(buf.clone())));
     tracer.add_sink(Box::new(live.clone()));
+    tracer.add_sink(Box::new(metrics.clone()));
     let shared = SharedObserver::new(tracer);
 
     let sim = SimulatedLlm::new(ModelId::Gpt35Turbo, d.generative.clone(), 7)
@@ -73,16 +75,28 @@ fn traced_run(threads: usize) -> (String, TraceAnalysis, RunResult) {
 
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     let analysis = live.0.lock().unwrap().clone().finish();
-    (text, analysis, run)
+    (text, analysis, run, metrics)
 }
 
 fn fixtures_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures"))
 }
 
+/// The CLI `trace` reports pinned next to the trace they read: fixture
+/// file name and the subcommand arguments that print it. Paths are
+/// relative to the repo root, as `scripts/check.sh` runs them.
+const CLI_FIXTURES: [(&str, &[&str]); 4] = [
+    ("trace_small_check.txt", &["trace", "check"]),
+    ("trace_small_analyze.txt", &["trace", "analyze"]),
+    ("trace_small_flame.txt", &["trace", "flame"]),
+    ("trace_small_expo.txt", &["trace", "expo"]),
+];
+
 /// Golden `trace analyze --json` fixture: a committed deterministic trace
-/// (ManualClock, fixed seeds) plus the exact JSON report it must render.
-/// `scripts/check.sh` re-checks the same pair through the real CLI.
+/// (ManualClock, fixed seeds) plus the exact JSON report it must render,
+/// and the CLI's `trace check`, `trace analyze`, `trace flame` and
+/// `trace expo` output on that trace ([`CLI_FIXTURES`]).
+/// `scripts/check.sh` re-checks the same files through the real CLI.
 /// Regenerate after an *intentional* report or schema change with:
 /// `DS_REGEN_FIXTURES=1 cargo test --test trace_analytics` (then update
 /// `docs/trace-schema.md` if the wire format moved).
@@ -91,7 +105,7 @@ fn golden_analyze_fixture_is_stable() {
     let dir = fixtures_dir();
     let trace_path = dir.join("trace_small.jsonl");
     let golden_path = dir.join("trace_small_analyze.json");
-    let (text, _, _) = traced_run(1);
+    let (text, _, _, _) = traced_run(1);
     let analysis = TraceAnalysis::from_trace(&text).unwrap();
     // Trailing newline matches what `trace analyze --json` prints.
     let rendered = format!("{}\n", report::render_analyze_json(&analysis));
@@ -114,11 +128,44 @@ fn golden_analyze_fixture_is_stable() {
         rendered, golden,
         "analyze --json drifted from the golden fixture"
     );
+
+    let repo_root = dir.join("../..");
+    for (fixture, args) in CLI_FIXTURES {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_datasculpt"))
+            .args(args)
+            .arg("tests/fixtures/trace_small.jsonl")
+            .current_dir(&repo_root)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        let printed = String::from_utf8(out.stdout).unwrap();
+        if std::env::var("DS_REGEN_FIXTURES").is_ok() {
+            std::fs::write(dir.join(fixture), &printed).unwrap();
+        }
+        let pinned = std::fs::read_to_string(dir.join(fixture))
+            .unwrap_or_else(|e| panic!("fixture {fixture} unreadable ({e}); see module docs"));
+        assert_eq!(printed, pinned, "{args:?} drifted from {fixture}");
+    }
+}
+
+#[test]
+fn metrics_recorder_renders_what_the_parsed_trace_renders() {
+    // `--metrics` (a live recorder) and `trace expo` (a stored trace) are
+    // two routes to one snapshot: every rendering must agree byte for byte.
+    let (text, _, _, metrics) = traced_run(1);
+    let parsed = TraceAnalysis::from_trace(&text)
+        .unwrap()
+        .to_metrics_snapshot();
+    let live = metrics.snapshot();
+    assert!(live.events > 0 && !live.models.is_empty(), "vacuous run");
+    assert_eq!(metrics.to_json(), parsed.to_json());
+    assert_eq!(metrics.render_table(), parsed.render_table());
+    assert_eq!(render_prometheus(&live), render_prometheus(&parsed));
 }
 
 #[test]
 fn attribution_tree_sums_exactly_to_the_ledger() {
-    let (text, live, run) = traced_run(1);
+    let (text, live, run, _) = traced_run(1);
     let parsed = TraceAnalysis::from_trace(&text).unwrap();
 
     // Every usage event lands on exactly one tree node, so the subtree
@@ -140,9 +187,9 @@ fn attribution_tree_sums_exactly_to_the_ledger() {
 
 #[test]
 fn trace_diff_is_empty_across_thread_counts() {
-    let (t1, _, r1) = traced_run(1);
-    let (t2, _, r2) = traced_run(2);
-    let (t8, _, r8) = traced_run(8);
+    let (t1, _, r1, _) = traced_run(1);
+    let (t2, _, r2, _) = traced_run(2);
+    let (t8, _, r8, _) = traced_run(8);
     assert_eq!(r1.digest(), r2.digest());
     assert_eq!(r1.digest(), r8.digest());
 
