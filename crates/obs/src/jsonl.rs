@@ -2,115 +2,150 @@
 //!
 //! Wire format (schema v1, see `docs/trace-schema.md`): every line starts
 //! with the common header fields `v`, `seq`, `t_ns`, `kind`, followed by
-//! `dur_ns` on span-end kinds, followed by the kind-specific fields —
-//! always in that order, so traces diff cleanly and the golden-file test
-//! can pin the byte-exact encoding.
+//! `dur_ns` on span-end kinds, followed by the kind-specific fields of
+//! `Event::for_each_field` — always in that order, so traces diff
+//! cleanly and the golden-file test can pin the byte-exact encoding.
+//! [`render_line`] and `decode_line` are the two directions of that
+//! format, the record header here and the fields through the codec in
+//! [`event`](crate::event).
 //!
 //! Write errors never panic and never disturb the observed run: the first
 //! error is stored, later records become no-ops, and
 //! [`finish`](JsonlTraceSink::finish) surfaces it.
 
-use crate::event::Event;
+use crate::event::{Event, FieldValue, SpanEdge};
+use crate::schema::Fields;
 use crate::tracer::{Record, TraceSink};
 use crate::TRACE_SCHEMA_VERSION;
+use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+
+/// A string as the body of a JSON string literal: quotes, backslashes
+/// and control characters escaped, written without allocating.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut clean = 0;
+        for (at, c) in self.0.char_indices() {
+            if !(c == '"' || c == '\\' || c < ' ') {
+                continue;
+            }
+            f.write_str(self.0.get(clean..at).unwrap_or(""))?;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
+            // Every escaped character is one ASCII byte.
+            clean = at + 1;
+        }
+        f.write_str(self.0.get(clean..).unwrap_or(""))
+    }
+}
 
 /// Escape a string for a JSON string literal (quotes, backslashes,
 /// control characters).
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    Escaped(s).to_string()
+}
+
+/// A record's JSONL line (without the newline), formatted on demand.
+struct Line<'a>(&'a Record<'a>);
+
+impl fmt::Display for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Record {
+            seq,
+            t_ns,
+            dur_ns,
+            event,
+        } = *self.0;
+        write!(
+            f,
+            "{{\"v\":{TRACE_SCHEMA_VERSION},\"seq\":{seq},\"t_ns\":{t_ns},\"kind\":\"{}\"",
+            event.kind()
+        )?;
+        if let Some(dur_ns) = dur_ns {
+            write!(f, ",\"dur_ns\":{dur_ns}")?;
         }
+        let mut written = Ok(());
+        event.for_each_field(|name, value| {
+            if written.is_ok() {
+                written = match value {
+                    FieldValue::Str(s) => write!(f, ",\"{name}\":\"{}\"", Escaped(s)),
+                    FieldValue::UInt(n) => write!(f, ",\"{name}\":{n}"),
+                    FieldValue::Bool(b) => write!(f, ",\"{name}\":{b}"),
+                };
+            }
+        });
+        written?;
+        f.write_str("}")
     }
-    out
 }
 
 /// Render one stamped record as its JSONL line (without the newline).
 pub fn render_line(record: &Record<'_>) -> String {
-    let mut line = format!(
-        "{{\"v\":{},\"seq\":{},\"t_ns\":{},\"kind\":\"{}\"",
-        TRACE_SCHEMA_VERSION,
-        record.seq,
-        record.t_ns,
-        record.event.kind()
-    );
-    if let Some(d) = record.dur_ns {
-        line.push_str(&format!(",\"dur_ns\":{d}"));
-    }
-    match record.event {
-        Event::RunBegin {
-            label,
-            dataset,
-            model,
-            queries,
-            seed,
-        } => {
-            line.push_str(&format!(
-                ",\"label\":\"{}\",\"dataset\":\"{}\",\"model\":\"{}\",\"queries\":{queries},\"seed\":{seed}",
-                escape_json(label),
-                escape_json(dataset),
-                escape_json(model)
-            ));
-        }
-        Event::RunEnd {
-            iterations,
-            failed,
-            lfs,
-        } => {
-            line.push_str(&format!(
-                ",\"iterations\":{iterations},\"failed\":{failed},\"lfs\":{lfs}"
-            ));
-        }
-        Event::IterationBegin { iter, instance } => {
-            line.push_str(&format!(",\"iter\":{iter},\"instance\":{instance}"));
-        }
-        Event::IterationEnd {
-            iter,
-            accepted,
-            rejected,
-            failed,
-        } => {
-            line.push_str(&format!(
-                ",\"iter\":{iter},\"accepted\":{accepted},\"rejected\":{rejected},\"failed\":{failed}"
-            ));
-        }
-        Event::StageBegin { iter, stage } | Event::StageEnd { iter, stage } => {
-            line.push_str(&format!(",\"iter\":{iter},\"stage\":\"{}\"", stage.name()));
-        }
-        Event::Counter { counter, delta } => {
-            line.push_str(&format!(
-                ",\"counter\":\"{}\",\"delta\":{delta}",
-                counter.name()
-            ));
-        }
-        Event::Usage {
-            model,
-            prompt_tokens,
-            completion_tokens,
-            cost_nanousd,
-        } => {
-            line.push_str(&format!(
-                ",\"model\":\"{}\",\"prompt_tokens\":{prompt_tokens},\"completion_tokens\":{completion_tokens},\"cost_nanousd\":{cost_nanousd}",
-                escape_json(model)
-            ));
-        }
-        Event::Message { text } => {
-            line.push_str(&format!(",\"text\":\"{}\"", escape_json(text)));
+    Line(record).to_string()
+}
+
+/// One decoded trace line: the [`Record`] it was rendered from, owning
+/// its event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DecodedLine {
+    pub(crate) seq: u64,
+    pub(crate) t_ns: u64,
+    /// On end kinds only.
+    pub(crate) dur_ns: Option<u64>,
+    pub(crate) event: Event,
+}
+
+impl DecodedLine {
+    /// The record as the tracer delivered it to its sinks.
+    pub(crate) fn record(&self) -> Record<'_> {
+        Record {
+            seq: self.seq,
+            t_ns: self.t_ns,
+            dur_ns: self.dur_ns,
+            event: &self.event,
         }
     }
-    line.push('}');
-    line
+}
+
+/// Decode one JSONL line, the inverse of [`render_line`]: the header
+/// fields `v`, `seq`, `t_ns`, `kind` leading in that order, `v` equal to
+/// [`TRACE_SCHEMA_VERSION`], `dur_ns` on end kinds and only there, then
+/// the kind's fields through `Event::decode`. Fields the schema does
+/// not name are ignored.
+pub(crate) fn decode_line(line: &str) -> Result<DecodedLine, String> {
+    let fields = Fields::parse(line)?;
+    let header: Vec<&str> = fields.keys().take(4).collect();
+    if header != ["v", "seq", "t_ns", "kind"] {
+        return Err(format!(
+            "header must start with v,seq,t_ns,kind (got {header:?})"
+        ));
+    }
+    let v = fields.uint("v")?;
+    if v != u128::from(TRACE_SCHEMA_VERSION) {
+        return Err(format!("unsupported schema version {v}"));
+    }
+    let (seq, t_ns, kind) = (fields.u64("seq")?, fields.u64("t_ns")?, fields.str("kind")?);
+    let event = Event::decode(kind, &fields)?;
+    let is_end = matches!(event.span_edge(), Some(SpanEdge::Close(_)));
+    match (is_end, fields.opt_u64("dur_ns")?) {
+        (true, None) => Err(format!("'{kind}' requires integer dur_ns")),
+        (false, Some(_)) => Err(format!("'{kind}' must not carry dur_ns")),
+        (_, dur_ns) => Ok(DecodedLine {
+            seq,
+            t_ns,
+            dur_ns,
+            event,
+        }),
+    }
 }
 
 /// A [`TraceSink`] that writes one JSON object per record to any
@@ -151,8 +186,7 @@ impl<W: Write> TraceSink for JsonlTraceSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = render_line(record);
-        if let Err(e) = writeln!(self.out, "{line}") {
+        if let Err(e) = writeln!(self.out, "{}", Line(record)) {
             self.error = Some(e);
         }
     }

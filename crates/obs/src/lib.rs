@@ -22,6 +22,17 @@
 //!   [`schema::validate_trace`]); [`MetricsRecorder`] aggregates in memory
 //!   and renders a per-stage latency/count/cost summary table;
 //!   [`StderrProgressSink`] renders human-readable progress lines.
+//! * **The codec** ([`event`]): `Event::for_each_field` is the one field
+//!   list that [`jsonl::render_line`] writes and the structural digest
+//!   hashes, `Event::decode` its strict inverse, and `SpanKey` the span
+//!   identity the tracer and the validator share. Reading a stored trace
+//!   ([`schema::validate_trace`]) decodes each line once;
+//!   [`TraceAnalysis::from_trace`] replays each decoded line as the
+//!   [`Record`] the tracer delivered, so it and a live [`SpanTreeBuilder`]
+//!   agree by construction.
+//! * **One aggregate**: the per-record update behind [`MetricsRecorder`]
+//!   is the one [`SpanTreeBuilder`] embeds, so `--metrics`, `trace
+//!   analyze` and `trace expo` read the same [`MetricsSnapshot`].
 //!
 //! # Composition
 //!

@@ -1,13 +1,16 @@
 //! In-memory metrics aggregation: per-stage latency/count, counters,
 //! per-model token/cost totals.
 //!
-//! [`MetricsRecorder`] is a cheaply-cloneable handle (all clones share one
-//! accumulator), so a composition root can attach it to a
+//! `MetricsAggregate` is the one per-record update behind `--metrics`,
+//! `trace analyze` and `trace expo`: [`MetricsRecorder`] wraps it, and
+//! [`SpanTreeBuilder`](crate::SpanTreeBuilder) embeds it next to the span
+//! tree. [`MetricsRecorder`] is a cheaply-cloneable handle (all clones
+//! share one accumulator), so a composition root can attach it to a
 //! [`Tracer`](crate::Tracer) as a sink *and* keep a handle to render the
 //! summary after the run.
 
 use crate::cost::{format_ns, format_usd};
-use crate::event::Event;
+use crate::event::{Event, SpanEdge, SpanKey};
 use crate::hist::LatencyHistogram;
 use crate::tracer::{Record, TraceSink};
 use crate::TRACE_SCHEMA_VERSION;
@@ -46,7 +49,7 @@ pub struct ModelMetrics {
 }
 
 /// A point-in-time copy of everything a [`MetricsRecorder`] has seen.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Per-stage span aggregates, keyed by stage wire name.
     pub stages: BTreeMap<&'static str, StageMetrics>,
@@ -192,16 +195,80 @@ impl MetricsSnapshot {
     }
 }
 
-/// Shared recorder state: the snapshot being built plus the span stack
+/// The running aggregate: the snapshot being built plus the span stack
 /// used to attribute each `usage` event to the innermost open span (model
 /// calls carry no span of their own in the v1 schema, so their latency is
 /// the duration of the span they run under — typically `generate`).
-#[derive(Debug, Default)]
-struct RecorderState {
-    snapshot: MetricsSnapshot,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MetricsAggregate {
+    pub(crate) snapshot: MetricsSnapshot,
     /// Usage-event models pending per open span, innermost last; drained
     /// into `model_call_hists` when the span closes.
     pending_models: Vec<Vec<String>>,
+}
+
+/// Sample `dur` into the histogram under `name`, allocating a key only
+/// the first time the name is seen.
+fn sample(hists: &mut BTreeMap<String, LatencyHistogram>, name: &str, dur: u64) {
+    match hists.get_mut(name) {
+        Some(h) => h.record(dur),
+        None => hists.entry(name.to_string()).or_default().record(dur),
+    }
+}
+
+impl MetricsAggregate {
+    /// Fold one record in.
+    pub(crate) fn record(&mut self, record: &Record<'_>) {
+        let snap = &mut self.snapshot;
+        snap.events += 1;
+        match record.event.span_edge() {
+            Some(SpanEdge::Open(_)) => self.pending_models.push(Vec::new()),
+            Some(SpanEdge::Close(key)) => {
+                let dur = record.dur_ns.unwrap_or(0);
+                sample(&mut snap.span_hists, key.label(), dur);
+                if let SpanKey::Stage(_, stage) = key {
+                    let s = snap.stages.entry(stage.name()).or_default();
+                    s.count += 1;
+                    s.total_ns += dur;
+                    s.max_ns = s.max_ns.max(dur);
+                }
+                for model in self.pending_models.pop().unwrap_or_default() {
+                    sample(&mut snap.model_call_hists, &model, dur);
+                }
+            }
+            None => {}
+        }
+        match record.event {
+            Event::IterationEnd { failed, .. } => {
+                snap.iterations += 1;
+                if *failed {
+                    snap.failed_iterations += 1;
+                }
+            }
+            Event::Counter { counter, delta } => {
+                *snap.counters.entry(counter.name()).or_default() += delta;
+            }
+            Event::Usage {
+                model,
+                prompt_tokens,
+                completion_tokens,
+                cost_nanousd,
+            } => {
+                let u = match snap.models.get_mut(model) {
+                    Some(u) => u,
+                    None => snap.models.entry(model.clone()).or_default(),
+                };
+                u.calls += 1;
+                u.prompt_tokens += prompt_tokens;
+                u.completion_tokens += completion_tokens;
+                u.cost_nanousd += cost_nanousd;
+                if let Some(pending) = self.pending_models.last_mut() {
+                    pending.push(model.clone());
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A [`TraceSink`] that aggregates records in memory. Clones share the
@@ -209,7 +276,7 @@ struct RecorderState {
 /// worker-side tracer while another renders the summary afterwards.
 #[derive(Clone, Default)]
 pub struct MetricsRecorder {
-    inner: Arc<Mutex<RecorderState>>,
+    inner: Arc<Mutex<MetricsAggregate>>,
 }
 
 impl MetricsRecorder {
@@ -225,7 +292,7 @@ impl MetricsRecorder {
 
     /// Lock the shared accumulator, ignoring poisoning: a panicking
     /// recorder thread must not lose the metrics gathered so far.
-    fn lock(&self) -> std::sync::MutexGuard<'_, RecorderState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsAggregate> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -246,74 +313,9 @@ impl std::fmt::Debug for MetricsRecorder {
     }
 }
 
-impl RecorderState {
-    /// A span closed with duration `dur`: sample the span-kind histogram
-    /// and attribute any usage events it enclosed to the model-call
-    /// histograms.
-    fn close_span(&mut self, label: &str, dur: u64) {
-        self.snapshot
-            .span_hists
-            .entry(label.to_string())
-            .or_default()
-            .record(dur);
-        if let Some(pending) = self.pending_models.pop() {
-            for model in pending {
-                self.snapshot
-                    .model_call_hists
-                    .entry(model)
-                    .or_default()
-                    .record(dur);
-            }
-        }
-    }
-}
-
 impl TraceSink for MetricsRecorder {
     fn record(&mut self, record: &Record<'_>) {
-        let mut state = self.lock();
-        state.snapshot.events += 1;
-        match record.event {
-            Event::RunBegin { .. } | Event::IterationBegin { .. } | Event::StageBegin { .. } => {
-                state.pending_models.push(Vec::new());
-            }
-            Event::RunEnd { .. } => {
-                state.close_span(crate::spantree::RUN_LABEL, record.dur_ns.unwrap_or(0));
-            }
-            Event::StageEnd { stage, .. } => {
-                let dur = record.dur_ns.unwrap_or(0);
-                let s = state.snapshot.stages.entry(stage.name()).or_default();
-                s.count += 1;
-                s.total_ns += dur;
-                s.max_ns = s.max_ns.max(dur);
-                state.close_span(stage.name(), dur);
-            }
-            Event::IterationEnd { failed, .. } => {
-                state.snapshot.iterations += 1;
-                if *failed {
-                    state.snapshot.failed_iterations += 1;
-                }
-                state.close_span(crate::spantree::ITERATION_LABEL, record.dur_ns.unwrap_or(0));
-            }
-            Event::Counter { counter, delta } => {
-                *state.snapshot.counters.entry(counter.name()).or_default() += delta;
-            }
-            Event::Usage {
-                model,
-                prompt_tokens,
-                completion_tokens,
-                cost_nanousd,
-            } => {
-                let u = state.snapshot.models.entry(model.clone()).or_default();
-                u.calls += 1;
-                u.prompt_tokens += prompt_tokens;
-                u.completion_tokens += completion_tokens;
-                u.cost_nanousd += cost_nanousd;
-                if let Some(pending) = state.pending_models.last_mut() {
-                    pending.push(model.clone());
-                }
-            }
-            Event::Message { .. } => {}
-        }
+        self.lock().record(record);
     }
 }
 

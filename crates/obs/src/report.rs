@@ -71,6 +71,7 @@ fn render_hists(hists: &BTreeMap<String, LatencyHistogram>, out: &mut String) {
 
 /// The full human-readable `trace analyze` report.
 pub fn render_analyze(analysis: &TraceAnalysis) -> String {
+    let snap = &analysis.metrics;
     let mut out = String::new();
     out.push_str(&format!(
         "trace: label={:?} dataset={:?} model={:?} queries={} seed={}\n",
@@ -78,10 +79,7 @@ pub fn render_analyze(analysis: &TraceAnalysis) -> String {
     ));
     out.push_str(&format!(
         "events: {}  iterations: {} ({} failed)  structural digest: {:016x}\n",
-        analysis.events,
-        analysis.iterations,
-        analysis.failed_iterations,
-        analysis.structural_digest
+        snap.events, snap.iterations, snap.failed_iterations, analysis.structural_digest
     ));
     out.push_str(&format!(
         "total cost: {} ({} nano-USD, tree-attributed exactly)\n\n",
@@ -105,24 +103,24 @@ pub fn render_analyze(analysis: &TraceAnalysis) -> String {
         ));
     }
 
-    if !analysis.span_hists.is_empty() {
+    if !snap.span_hists.is_empty() {
         out.push_str("\nspan latency histograms:\n");
-        render_hists(&analysis.span_hists, &mut out);
+        render_hists(&snap.span_hists, &mut out);
     }
-    if !analysis.model_call_hists.is_empty() {
+    if !snap.model_call_hists.is_empty() {
         out.push_str("\nmodel call latency histograms (innermost enclosing span):\n");
-        render_hists(&analysis.model_call_hists, &mut out);
+        render_hists(&snap.model_call_hists, &mut out);
     }
 
-    if !analysis.counters.is_empty() {
+    if !snap.counters.is_empty() {
         out.push_str("\ncounters:\n");
-        for (name, v) in &analysis.counters {
+        for (name, v) in &snap.counters {
             out.push_str(&format!("  {name:<24} {v:>10}\n"));
         }
     }
-    if !analysis.models.is_empty() {
+    if !snap.models.is_empty() {
         out.push_str("\nmodels:\n");
-        for (name, m) in &analysis.models {
+        for (name, m) in &snap.models {
             out.push_str(&format!(
                 "  {:<24} calls={} prompt={} completion={} cost={}\n",
                 name,
@@ -156,13 +154,13 @@ fn node_json(node: &SpanNode) -> String {
     out
 }
 
-fn map_json<V, F: Fn(&V) -> String>(map: &BTreeMap<String, V>, render: F) -> String {
+fn map_json<K: AsRef<str>, V>(map: &BTreeMap<K, V>, render: impl Fn(&V) -> String) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in map.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":{}", escape_json(k), render(v)));
+        out.push_str(&format!("\"{}\":{}", escape_json(k.as_ref()), render(v)));
     }
     out.push('}');
     out
@@ -173,6 +171,7 @@ fn map_json<V, F: Fn(&V) -> String>(map: &BTreeMap<String, V>, render: F) -> Str
 /// identical traces, which is what the golden-fixture smoke in
 /// `scripts/check.sh` pins.
 pub fn render_analyze_json(analysis: &TraceAnalysis) -> String {
+    let snap = &analysis.metrics;
     let mut out = format!(
         "{{\"v\":{TRACE_SCHEMA_VERSION},\"label\":\"{}\",\"dataset\":\"{}\",\"model\":\"{}\",\"queries\":{},\"seed\":{}",
         escape_json(&analysis.label),
@@ -183,9 +182,9 @@ pub fn render_analyze_json(analysis: &TraceAnalysis) -> String {
     );
     out.push_str(&format!(
         ",\"events\":{},\"iterations\":{},\"failed_iterations\":{},\"structural_digest\":\"{:016x}\",\"total_cost_nanousd\":{}",
-        analysis.events,
-        analysis.iterations,
-        analysis.failed_iterations,
+        snap.events,
+        snap.iterations,
+        snap.failed_iterations,
         analysis.structural_digest,
         analysis.total_cost_nanousd()
     ));
@@ -195,11 +194,11 @@ pub fn render_analyze_json(analysis: &TraceAnalysis) -> String {
     ));
     out.push_str(&format!(
         ",\"counters\":{}",
-        map_json(&analysis.counters, u64::to_string)
+        map_json(&snap.counters, u64::to_string)
     ));
     out.push_str(&format!(
         ",\"models\":{}",
-        map_json(&analysis.models, |m| format!(
+        map_json(&snap.models, |m| format!(
             "{{\"calls\":{},\"prompt_tokens\":{},\"completion_tokens\":{},\"cost_nanousd\":{}}}",
             m.calls, m.prompt_tokens, m.completion_tokens, m.cost_nanousd
         ))
@@ -207,11 +206,11 @@ pub fn render_analyze_json(analysis: &TraceAnalysis) -> String {
     out.push_str(&format!(",\"tree\":{}", node_json(&analysis.root)));
     out.push_str(&format!(
         ",\"span_hists\":{}",
-        map_json(&analysis.span_hists, LatencyHistogram::to_json)
+        map_json(&snap.span_hists, LatencyHistogram::to_json)
     ));
     out.push_str(&format!(
         ",\"model_call_hists\":{}",
-        map_json(&analysis.model_call_hists, LatencyHistogram::to_json)
+        map_json(&snap.model_call_hists, LatencyHistogram::to_json)
     ));
     out.push('}');
     out
@@ -234,19 +233,19 @@ impl std::fmt::Display for DiffEntry {
     }
 }
 
-fn diff_maps<V: PartialEq, F: Fn(&V) -> String>(
+fn diff_maps<K: Ord + AsRef<str>, V: PartialEq>(
     out: &mut Vec<DiffEntry>,
     prefix: &str,
-    a: &BTreeMap<String, V>,
-    b: &BTreeMap<String, V>,
-    render: F,
+    a: &BTreeMap<K, V>,
+    b: &BTreeMap<K, V>,
+    render: impl Fn(&V) -> String,
 ) {
-    let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+    let keys: std::collections::BTreeSet<&K> = a.keys().chain(b.keys()).collect();
     for key in keys {
-        let (va, vb) = (a.get(key.as_str()), b.get(key.as_str()));
+        let (va, vb) = (a.get(key), b.get(key));
         if va != vb {
             out.push(DiffEntry {
-                field: format!("{prefix} {key}"),
+                field: format!("{prefix} {}", key.as_ref()),
                 a: va.map_or_else(|| "absent".into(), &render),
                 b: vb.map_or_else(|| "absent".into(), &render),
             });
@@ -271,6 +270,7 @@ fn push_if_ne<T: PartialEq + std::fmt::Display>(out: &mut Vec<DiffEntry>, field:
 /// With `timing: true` it also compares span durations and histograms
 /// (only meaningful for replayed or manual-clock traces).
 pub fn diff(a: &TraceAnalysis, b: &TraceAnalysis, timing: bool) -> Vec<DiffEntry> {
+    let (ma, mb) = (&a.metrics, &b.metrics);
     let mut out = Vec::new();
     push_if_ne(
         &mut out,
@@ -283,13 +283,13 @@ pub fn diff(a: &TraceAnalysis, b: &TraceAnalysis, timing: bool) -> Vec<DiffEntry
     push_if_ne(&mut out, "model", &a.model, &b.model);
     push_if_ne(&mut out, "queries", a.queries, b.queries);
     push_if_ne(&mut out, "seed", a.seed, b.seed);
-    push_if_ne(&mut out, "events", a.events, b.events);
-    push_if_ne(&mut out, "iterations", a.iterations, b.iterations);
+    push_if_ne(&mut out, "events", ma.events, mb.events);
+    push_if_ne(&mut out, "iterations", ma.iterations, mb.iterations);
     push_if_ne(
         &mut out,
         "failed_iterations",
-        a.failed_iterations,
-        b.failed_iterations,
+        ma.failed_iterations,
+        mb.failed_iterations,
     );
     push_if_ne(
         &mut out,
@@ -301,11 +301,11 @@ pub fn diff(a: &TraceAnalysis, b: &TraceAnalysis, timing: bool) -> Vec<DiffEntry
     diff_maps(
         &mut out,
         "counter",
-        &a.counters,
-        &b.counters,
+        &ma.counters,
+        &mb.counters,
         u64::to_string,
     );
-    diff_maps(&mut out, "model", &a.models, &b.models, |m| {
+    diff_maps(&mut out, "model", &ma.models, &mb.models, |m| {
         format!(
             "calls={} prompt={} completion={} cost={}",
             m.calls, m.prompt_tokens, m.completion_tokens, m.cost_nanousd
@@ -361,15 +361,15 @@ pub fn diff(a: &TraceAnalysis, b: &TraceAnalysis, timing: bool) -> Vec<DiffEntry
         diff_maps(
             &mut out,
             "span_hist",
-            &a.span_hists,
-            &b.span_hists,
+            &ma.span_hists,
+            &mb.span_hists,
             LatencyHistogram::to_json,
         );
         diff_maps(
             &mut out,
             "model_call_hist",
-            &a.model_call_hists,
-            &b.model_call_hists,
+            &ma.model_call_hists,
+            &mb.model_call_hists,
             LatencyHistogram::to_json,
         );
     }

@@ -6,13 +6,20 @@
 //! monotone, and nests spans strictly (every end event closes the innermost
 //! open span; nothing left open at EOF).
 //!
+//! Each line goes through the codec's decoder (`jsonl::decode_line`,
+//! then `Event::decode`); this module adds the checks that span lines:
+//! `seq`/`t_ns` order and span nesting by `SpanKey`.
+//!
 //! The parser here is deliberately tiny: traces are flat JSON objects whose
 //! values are strings, unsigned integers, or booleans — exactly what
 //! [`crate::jsonl::render_line`] emits — so a full JSON implementation
 //! (and the external dependency it would drag in) is unnecessary.
+//! [`Fields`] gives typed, by-name access to one parsed object; the serve
+//! crate's job registry and wire protocol read their lines through it too.
 
-use crate::event::{Counter, Event, Stage};
-use crate::TRACE_SCHEMA_VERSION;
+use crate::event::{Event, SpanEdge, SpanKey};
+use crate::jsonl::decode_line;
+use crate::tracer::Record;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -192,6 +199,92 @@ pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     Ok(fields)
 }
 
+/// One parsed flat object with typed, by-name field access.
+///
+/// A missing field reads as `None` from the `opt_*` accessors and as an
+/// error from the others; a present field of the wrong type is an error
+/// from both, so a default applies only to an absent field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fields(Vec<(String, JsonValue)>);
+
+impl Fields {
+    /// Parse one line with [`parse_object`].
+    pub fn parse(line: &str) -> Result<Fields, String> {
+        parse_object(line).map(Fields)
+    }
+
+    /// The keys, in line order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(k, _)| k.as_str())
+    }
+
+    /// The first value under `key`, picked as type `want`.
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        pick: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
+            None => Ok(None),
+            Some(v) => pick(v)
+                .map(Some)
+                .ok_or_else(|| format!("field '{key}' must be {want}, got {}", v.type_name())),
+        }
+    }
+
+    /// An optional string field.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
+        self.typed(key, "string", |v| match v {
+            JsonValue::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// An optional unsigned-integer field.
+    pub fn opt_uint(&self, key: &str) -> Result<Option<u128>, String> {
+        self.typed(key, "integer", |v| match v {
+            JsonValue::UInt(n) => Some(*n),
+            _ => None,
+        })
+    }
+
+    /// An optional unsigned-integer field that must fit a `u64`.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.opt_uint(key)?
+            .map(|n| u64::try_from(n).map_err(|_| format!("field '{key}' out of u64 range")))
+            .transpose()
+    }
+
+    /// A required string field.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.opt_str(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// A required unsigned-integer field.
+    pub fn uint(&self, key: &str) -> Result<u128, String> {
+        self.opt_uint(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// A required unsigned-integer field that must fit a `u64`.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// A required boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        let value = self.typed(key, "boolean", |v| match v {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        })?;
+        value.ok_or_else(|| missing(key))
+    }
+}
+
+fn missing(key: &str) -> String {
+    format!("missing field '{key}'")
+}
+
 /// What a validated trace contained.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -209,127 +302,39 @@ pub struct TraceSummary {
     pub cost_nanousd: u128,
 }
 
-/// Required non-header fields per kind, with expected types.
-fn required_fields(kind: &str) -> &'static [(&'static str, &'static str)] {
-    match kind {
-        "run_begin" => &[
-            ("label", "string"),
-            ("dataset", "string"),
-            ("model", "string"),
-            ("queries", "integer"),
-            ("seed", "integer"),
-        ],
-        "run_end" => &[
-            ("iterations", "integer"),
-            ("failed", "integer"),
-            ("lfs", "integer"),
-        ],
-        "iter_begin" => &[("iter", "integer"), ("instance", "integer")],
-        "iter_end" => &[
-            ("iter", "integer"),
-            ("accepted", "integer"),
-            ("rejected", "integer"),
-            ("failed", "boolean"),
-        ],
-        "stage_begin" | "stage_end" => &[("iter", "integer"), ("stage", "string")],
-        "counter" => &[("counter", "string"), ("delta", "integer")],
-        "usage" => &[
-            ("model", "string"),
-            ("prompt_tokens", "integer"),
-            ("completion_tokens", "integer"),
-            ("cost_nanousd", "integer"),
-        ],
-        "message" => &[("text", "string")],
-        _ => &[],
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum OpenSpan {
-    Run,
-    Iteration(u128),
-    Stage(u128, String),
-}
-
-impl fmt::Display for OpenSpan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpenSpan::Run => write!(f, "run"),
-            OpenSpan::Iteration(i) => write!(f, "iteration {i}"),
-            OpenSpan::Stage(i, s) => write!(f, "stage {s} (iter {i})"),
-        }
-    }
-}
-
-struct LineView<'a> {
-    no: usize,
-    fields: &'a [(String, JsonValue)],
-}
-
-impl LineView<'_> {
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn uint(&self, key: &str) -> Result<u128, ValidateError> {
-        match self.get(key) {
-            Some(JsonValue::UInt(n)) => Ok(*n),
-            _ => Err(err(self.no, format!("missing integer field '{key}'"))),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, ValidateError> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s),
-            _ => Err(err(self.no, format!("missing string field '{key}'"))),
-        }
-    }
-}
-
 /// Validate a whole trace (the concatenated JSONL text).
 ///
-/// Checks, per line: it parses as a flat JSON object; the header fields
-/// `v`, `seq`, `t_ns`, `kind` lead in that order; `v` matches
-/// [`TRACE_SCHEMA_VERSION`]; `seq` increments from 0; `t_ns` never
-/// decreases; the kind, any stage, and any counter name are known; every
-/// required field is present with the right type; `dur_ns` appears on end
-/// kinds and only there. Across lines: every end event closes the
-/// *innermost* open span (strict nesting) and no span is left open at EOF.
+/// Checks, per line: it decodes (`decode_line`: a flat JSON object whose
+/// header fields `v`, `seq`, `t_ns`, `kind` lead in that order, `v` equal
+/// to [`TRACE_SCHEMA_VERSION`](crate::TRACE_SCHEMA_VERSION), `dur_ns` on
+/// end kinds and only there, known kind, stage and counter names, every
+/// field present with its type); `seq` increments from 0; `t_ns` never
+/// decreases. Across lines: every end event closes the *innermost* open
+/// span (strict nesting) and no span is left open at EOF.
 pub fn validate_trace(text: &str) -> Result<TraceSummary, ValidateError> {
+    replay_trace(text, |_| {})
+}
+
+/// [`validate_trace`], handing each record to `each` as soon as its line
+/// has passed: one parse per line for every consumer of a stored trace.
+pub(crate) fn replay_trace(
+    text: &str,
+    mut each: impl FnMut(&Record<'_>),
+) -> Result<TraceSummary, ValidateError> {
     let mut summary = TraceSummary::default();
-    let mut stack: Vec<OpenSpan> = Vec::new();
-    let mut last_t_ns: u128 = 0;
-    let mut stages_seen: Vec<String> = Vec::new();
+    let mut open: Vec<SpanKey> = Vec::new();
+    let mut last_t_ns = 0;
 
     for (idx, raw) in text.lines().enumerate() {
         let no = idx + 1;
         if raw.trim().is_empty() {
             return Err(err(no, "blank line in trace"));
         }
-        let fields = parse_object(raw).map_err(|e| err(no, e))?;
-        let line = LineView {
-            no,
-            fields: &fields,
-        };
-
-        // Header: v, seq, t_ns, kind — present, typed, and leading in order.
-        let header: Vec<&str> = fields.iter().take(4).map(|(k, _)| k.as_str()).collect();
-        if header != ["v", "seq", "t_ns", "kind"] {
-            return Err(err(
-                no,
-                format!("header must start with v,seq,t_ns,kind (got {header:?})"),
-            ));
+        let line = decode_line(raw).map_err(|e| err(no, e))?;
+        let (seq, t_ns, event) = (line.seq, line.t_ns, &line.event);
+        if seq != idx as u64 {
+            return Err(err(no, format!("seq {seq}, expected {idx}")));
         }
-        let v = line.uint("v")?;
-        if v != u128::from(TRACE_SCHEMA_VERSION) {
-            return Err(err(no, format!("unsupported schema version {v}")));
-        }
-        let seq = line.uint("seq")?;
-        let expected = idx as u128;
-        if seq != expected {
-            return Err(err(no, format!("seq {seq}, expected {expected}")));
-        }
-        let t_ns = line.uint("t_ns")?;
         if t_ns < last_t_ns {
             return Err(err(
                 no,
@@ -338,108 +343,43 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, ValidateError> {
         }
         last_t_ns = t_ns;
 
-        let kind = line.str("kind")?.to_string();
-        if !Event::KINDS.contains(&kind.as_str()) {
-            return Err(err(no, format!("unknown event kind '{kind}'")));
-        }
-
-        // dur_ns on end kinds, and only there.
-        let is_end = matches!(kind.as_str(), "run_end" | "iter_end" | "stage_end");
-        match (is_end, line.get("dur_ns")) {
-            (true, Some(JsonValue::UInt(_))) | (false, None) => {}
-            (true, _) => return Err(err(no, format!("'{kind}' requires integer dur_ns"))),
-            (false, Some(_)) => return Err(err(no, format!("'{kind}' must not carry dur_ns"))),
-        }
-
-        for (field, ty) in required_fields(&kind) {
-            match line.get(field) {
-                Some(v) if v.type_name() == *ty => {}
-                Some(v) => {
+        let kind = event.kind();
+        match event.span_edge() {
+            Some(SpanEdge::Open(key)) => open.push(key),
+            Some(SpanEdge::Close(key)) => match open.pop() {
+                Some(top) if top == key => {}
+                Some(top) => {
                     return Err(err(
                         no,
-                        format!("field '{field}' must be {ty}, got {}", v.type_name()),
+                        format!("{kind} for {key} while {top} is innermost"),
                     ))
                 }
-                None => return Err(err(no, format!("'{kind}' missing field '{field}'"))),
-            }
-        }
-
-        // Domain checks + span nesting.
-        match kind.as_str() {
-            "run_begin" => stack.push(OpenSpan::Run),
-            "iter_begin" => stack.push(OpenSpan::Iteration(line.uint("iter")?)),
-            "stage_begin" | "stage_end" => {
-                let stage = line.str("stage")?;
-                if Stage::parse(stage).is_none() {
-                    return Err(err(no, format!("unknown stage '{stage}'")));
-                }
-                let iter = line.uint("iter")?;
-                if kind == "stage_begin" {
-                    stack.push(OpenSpan::Stage(iter, stage.to_string()));
-                } else {
-                    let expected = OpenSpan::Stage(iter, stage.to_string());
-                    match stack.pop() {
-                        Some(top) if top == expected => {}
-                        Some(top) => {
-                            return Err(err(
-                                no,
-                                format!("stage_end for {expected} while {top} is innermost"),
-                            ))
-                        }
-                        None => {
-                            return Err(err(
-                                no,
-                                format!("stage_end for {expected} with no open span"),
-                            ))
-                        }
-                    }
-                    if !stages_seen.iter().any(|s| s == stage) {
-                        stages_seen.push(stage.to_string());
-                    }
-                }
-            }
-            "iter_end" => {
-                let expected = OpenSpan::Iteration(line.uint("iter")?);
-                match stack.pop() {
-                    Some(top) if top == expected => {}
-                    Some(top) => {
-                        return Err(err(
-                            no,
-                            format!("iter_end for {expected} while {top} is innermost"),
-                        ))
-                    }
-                    None => return Err(err(no, "iter_end with no open span".to_string())),
-                }
-                summary.iterations += 1;
-            }
-            "run_end" => match stack.pop() {
-                Some(OpenSpan::Run) => {}
-                Some(top) => return Err(err(no, format!("run_end while {top} is innermost"))),
-                None => return Err(err(no, "run_end with no open span".to_string())),
+                None => return Err(err(no, format!("{kind} for {key} with no open span"))),
             },
-            "counter" => {
-                let counter = line.str("counter")?;
-                if Counter::parse(counter).is_none() {
-                    return Err(err(no, format!("unknown counter '{counter}'")));
-                }
-                let delta = line.uint("delta")?;
-                *summary.counters.entry(counter.to_string()).or_default() +=
-                    u64::try_from(delta).map_err(|_| err(no, "delta out of range"))?;
+            None => {}
+        }
+        match event {
+            Event::StageEnd { stage, .. } if !summary.stages.iter().any(|s| s == stage.name()) => {
+                summary.stages.push(stage.name().to_string());
             }
-            "usage" => {
-                summary.cost_nanousd += line.uint("cost_nanousd")?;
+            Event::IterationEnd { .. } => summary.iterations += 1,
+            Event::Counter { counter, delta } => {
+                *summary
+                    .counters
+                    .entry(counter.name().to_string())
+                    .or_default() += delta;
             }
+            Event::Usage { cost_nanousd, .. } => summary.cost_nanousd += cost_nanousd,
             _ => {}
         }
-
-        *summary.kinds.entry(kind).or_default() += 1;
+        *summary.kinds.entry(kind.to_string()).or_default() += 1;
         summary.events += 1;
+        each(&line.record());
     }
 
-    if let Some(top) = stack.last() {
+    if let Some(top) = open.last() {
         return Err(err(0, format!("unclosed span at end of trace: {top}")));
     }
-    summary.stages = stages_seen;
     Ok(summary)
 }
 

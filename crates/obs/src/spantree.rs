@@ -16,24 +16,23 @@
 //! `restore` span closes before `run_begin`, so `restore` hangs off the
 //! synthetic `trace` root next to `run`.
 //!
-//! [`TraceAnalysis`] also carries per-span-kind and per-model-call latency
-//! histograms, counter/usage rollups, and a timing-free structural digest
-//! (FNV-1a over every event minus `seq`/`t_ns`/`dur_ns`) used by
-//! `trace diff` — two same-seed runs produce the same digest at any thread
-//! count and wall-clock speed.
+//! [`TraceAnalysis`] also carries the run's [`MetricsSnapshot`] (the
+//! same aggregate a live [`MetricsRecorder`](crate::MetricsRecorder)
+//! builds: per-span-kind and per-model-call latency histograms, counter
+//! and usage rollups), and a timing-free structural digest (FNV-1a over
+//! every event's codec fields, `Event::for_each_field`, which leave out
+//! `seq`/`t_ns`/`dur_ns`) used by `trace diff` — two same-seed runs
+//! produce the same digest at any thread count and wall-clock speed.
 
-use crate::event::{Counter, Event, Stage};
+pub use crate::event::{ITERATION_LABEL, RUN_LABEL};
+
+use crate::event::{Event, FieldValue, SpanEdge};
 use crate::hash::Fnv64;
-use crate::hist::LatencyHistogram;
-use crate::metrics::{MetricsSnapshot, ModelMetrics, StageMetrics};
-use crate::schema::{parse_object, validate_trace, JsonValue, ValidateError};
+use crate::metrics::{MetricsAggregate, MetricsSnapshot};
+use crate::schema::{replay_trace, ValidateError};
 use crate::tracer::{Record, TraceSink};
 use std::collections::BTreeMap;
 
-/// Span-kind label for the run span in trees and histograms.
-pub const RUN_LABEL: &str = "run";
-/// Span-kind label for iteration spans in trees and histograms.
-pub const ITERATION_LABEL: &str = "iteration";
 /// Label of the synthetic root that holds `run` and any pre-run spans.
 pub const ROOT_LABEL: &str = "trace";
 
@@ -127,9 +126,9 @@ impl SpanNode {
     }
 }
 
-/// Everything `trace analyze` / `trace diff` / `trace flame` work from:
-/// the attribution tree, latency histograms, counter and usage rollups,
-/// and a timing-free structural digest.
+/// Everything `trace analyze` / `trace diff` / `trace flame` / `trace
+/// expo` work from: the run header, the attribution tree, the metrics
+/// aggregate, the kind counts, and a timing-free structural digest.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceAnalysis {
     /// Run display label (from `run_begin`; empty if the trace has none).
@@ -142,102 +141,57 @@ pub struct TraceAnalysis {
     pub queries: u64,
     /// Run seed (from `run_begin`).
     pub seed: u64,
-    /// Total events.
-    pub events: u64,
     /// Events per kind.
-    pub kinds: BTreeMap<String, u64>,
-    /// Counter totals.
-    pub counters: BTreeMap<String, u64>,
-    /// Per-model usage rollup.
-    pub models: BTreeMap<String, ModelMetrics>,
-    /// Iterations completed.
-    pub iterations: u64,
-    /// Iterations that failed.
-    pub failed_iterations: u64,
+    pub kinds: BTreeMap<&'static str, u64>,
+    /// Per-model usage, counters, span and model-call latency histograms,
+    /// and iteration and event counts: what a live
+    /// [`MetricsRecorder`](crate::MetricsRecorder) on the same run holds.
+    pub metrics: MetricsSnapshot,
     /// The attribution tree, rooted at the synthetic [`ROOT_LABEL`] node.
     pub root: SpanNode,
-    /// Latency histogram per span kind (`run`, `iteration`, stage names).
-    pub span_hists: BTreeMap<String, LatencyHistogram>,
-    /// Latency histogram per model: the duration of the innermost span
-    /// enclosing each billed call (e.g. the `generate` span around a
-    /// pipeline LLM call).
-    pub model_call_hists: BTreeMap<String, LatencyHistogram>,
-    /// FNV-1a 64 over every event's timing-free canonical form (everything
-    /// except `seq`, `t_ns`, `dur_ns`). Identical for two runs whose event
-    /// streams differ only in timing.
+    /// FNV-1a 64 over every event's timing-free canonical form (the kind
+    /// and its codec fields, so everything except `seq`, `t_ns`,
+    /// `dur_ns`). Identical for two runs whose event streams differ only
+    /// in timing.
     pub structural_digest: u64,
 }
 
 impl TraceAnalysis {
-    /// Validate `text` as a v1 JSONL trace and reconstruct its analysis.
+    /// Validate `text` as a v1 JSONL trace and reconstruct its analysis,
+    /// replaying each decoded line through [`SpanTreeBuilder`].
     pub fn from_trace(text: &str) -> Result<TraceAnalysis, ValidateError> {
-        validate_trace(text)?;
-        let mut b = SpanTreeBuilder::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let fields = parse_object(raw).map_err(|e| ValidateError {
-                line: idx + 1,
-                message: e,
-            })?;
-            b.apply_fields(&fields);
-        }
-        Ok(b.finish())
+        let mut builder = SpanTreeBuilder::new();
+        replay_trace(text, |record| builder.record(record))?;
+        Ok(builder.finish())
     }
 
     /// Total nano-USD across models (equals the tree's subtree cost).
     pub fn total_cost_nanousd(&self) -> u128 {
-        self.models.values().map(|m| m.cost_nanousd).sum()
+        self.metrics.total_cost_nanousd()
     }
 
-    /// Project onto a [`MetricsSnapshot`] — the shape the Prometheus
-    /// exposition ([`render_prometheus`](crate::render_prometheus))
-    /// renders — so a stored trace can be served without replaying it.
-    /// Stage aggregates are recovered from the span histograms (count,
-    /// sum, max are exact histogram fields).
+    /// The [`MetricsSnapshot`] the Prometheus exposition
+    /// ([`render_prometheus`](crate::render_prometheus)) renders, so a
+    /// stored trace can be served without replaying it.
     pub fn to_metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
-            models: self.models.clone(),
-            iterations: self.iterations,
-            failed_iterations: self.failed_iterations,
-            events: self.events,
-            span_hists: self.span_hists.clone(),
-            model_call_hists: self.model_call_hists.clone(),
-            ..MetricsSnapshot::default()
-        };
-        for (name, h) in &self.span_hists {
-            if let Some(stage) = Stage::parse(name) {
-                snap.stages.insert(
-                    stage.name(),
-                    StageMetrics {
-                        count: h.count(),
-                        total_ns: u64::try_from(h.sum_ns()).unwrap_or(u64::MAX),
-                        max_ns: h.max_ns().unwrap_or(0),
-                    },
-                );
-            }
-        }
-        for (name, v) in &self.counters {
-            if let Some(counter) = Counter::parse(name) {
-                snap.counters.insert(counter.name(), *v);
-            }
-        }
-        snap
+        self.metrics.clone()
     }
 }
 
 /// Builds a [`TraceAnalysis`] incrementally — either from parsed trace
 /// lines ([`TraceAnalysis::from_trace`]) or live, as a [`TraceSink`] on a
-/// [`Tracer`](crate::Tracer). The two paths produce identical analyses
-/// for the same event stream (pinned by a test below).
+/// [`Tracer`](crate::Tracer). Both paths feed it the same records, so
+/// they produce identical analyses for the same event stream (pinned by a
+/// test below).
 #[derive(Debug, Clone)]
 pub struct SpanTreeBuilder {
+    /// Run header and kind counts; the rest is filled in by `finish`.
     analysis: TraceAnalysis,
+    metrics: MetricsAggregate,
     /// Arena of nodes being aggregated; index 0 is the synthetic root.
     nodes: Vec<ArenaNode>,
     /// Indices of currently open spans, outermost first.
     stack: Vec<usize>,
-    /// Models of usage events attributed to each open span, parallel to
-    /// `stack` — drained into the model-call histograms at span close.
-    pending_models: Vec<Vec<String>>,
     digest: Fnv64,
 }
 
@@ -262,35 +216,40 @@ impl SpanTreeBuilder {
     pub fn new() -> Self {
         SpanTreeBuilder {
             analysis: TraceAnalysis::default(),
+            metrics: MetricsAggregate::default(),
             nodes: vec![ArenaNode {
                 label: ROOT_LABEL.to_string(),
                 ..ArenaNode::default()
             }],
             stack: Vec::new(),
-            pending_models: Vec::new(),
             digest: Fnv64::default(),
         }
     }
 
     /// Finish: materialize the aggregated arena into the final tree.
     pub fn finish(mut self) -> TraceAnalysis {
+        self.analysis.metrics = self.metrics.snapshot;
         self.analysis.structural_digest = self.digest.finish();
         self.analysis.root = build_node(&self.nodes, 0);
         self.analysis.root.total_ns = self.analysis.root.children.iter().map(|c| c.total_ns).sum();
         self.analysis
     }
 
-    /// Fold one event's timing-free canonical form into the digest. The
-    /// canonical form is the kind followed by the kind's wire-field values
-    /// in schema order — exactly what both the live and parsed paths see.
-    fn hash_event(&mut self, canonical: &str) {
-        self.digest.eat(canonical.as_bytes());
-        self.digest.eat(b"\n");
-    }
-
-    fn note_kind(&mut self, kind: &str) {
-        self.analysis.events += 1;
-        *self.analysis.kinds.entry(kind.to_string()).or_default() += 1;
+    /// Fold one event's timing-free canonical form into the digest: the
+    /// kind, then each codec field's value (strings raw, integers in
+    /// decimal) after a `|`, then a newline.
+    fn hash_event(&mut self, event: &Event) {
+        let digest = &mut self.digest;
+        digest.eat(event.kind().as_bytes());
+        event.for_each_field(|_, value| {
+            digest.eat(b"|");
+            match value {
+                FieldValue::Str(s) => digest.eat(s.as_bytes()),
+                FieldValue::UInt(n) => digest.eat(n.to_string().as_bytes()),
+                FieldValue::Bool(b) => digest.eat(if b { "true" } else { "false" }.as_bytes()),
+            }
+        });
+        digest.eat(b"\n");
     }
 
     fn open(&mut self, label: &str) {
@@ -317,158 +276,28 @@ impl SpanTreeBuilder {
             }
         };
         self.stack.push(idx);
-        self.pending_models.push(Vec::new());
     }
 
-    fn close(&mut self, label: &str, dur_ns: u64) {
-        self.analysis
-            .span_hists
-            .entry(label.to_string())
-            .or_default()
-            .record(dur_ns);
-        let (Some(idx), Some(pending)) = (self.stack.pop(), self.pending_models.pop()) else {
-            return; // unmatched end: producer bug, nothing to attribute
-        };
-        if let Some(node) = self.nodes.get_mut(idx) {
+    fn close(&mut self, dur_ns: u64) {
+        // An unmatched end (producer bug) has nothing to attribute.
+        if let Some(node) = self.stack.pop().and_then(|idx| self.nodes.get_mut(idx)) {
             node.count += 1;
             node.total_ns += u128::from(dur_ns);
         }
-        for model in pending {
-            self.analysis
-                .model_call_hists
-                .entry(model)
-                .or_default()
-                .record(dur_ns);
-        }
     }
+}
 
-    fn usage(&mut self, model: &str, prompt_tokens: u64, completion_tokens: u64, cost: u128) {
-        let m = self.analysis.models.entry(model.to_string()).or_default();
-        m.calls += 1;
-        m.prompt_tokens += prompt_tokens;
-        m.completion_tokens += completion_tokens;
-        m.cost_nanousd += cost;
-        let idx = self.stack.last().copied().unwrap_or(0);
-        if let Some(node) = self.nodes.get_mut(idx) {
-            node.cost_nanousd += cost;
-            node.calls += 1;
+impl TraceSink for SpanTreeBuilder {
+    fn record(&mut self, record: &Record<'_>) {
+        let event = record.event;
+        self.metrics.record(record);
+        self.hash_event(event);
+        *self.analysis.kinds.entry(event.kind()).or_default() += 1;
+        match event.span_edge() {
+            Some(SpanEdge::Open(key)) => self.open(key.label()),
+            Some(SpanEdge::Close(_)) => self.close(record.dur_ns.unwrap_or(0)),
+            None => {}
         }
-        if let Some(pending) = self.pending_models.last_mut() {
-            pending.push(model.to_string());
-        }
-    }
-
-    /// Apply one parsed trace line (key/value fields in wire order).
-    fn apply_fields(&mut self, fields: &[(String, JsonValue)]) {
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let uint = |key: &str| match get(key) {
-            Some(JsonValue::UInt(n)) => *n,
-            _ => 0,
-        };
-        let u64of = |key: &str| u64::try_from(uint(key)).unwrap_or(u64::MAX);
-        let s = |key: &str| match get(key) {
-            Some(JsonValue::Str(v)) => v.as_str(),
-            _ => "",
-        };
-        let kind = s("kind").to_string();
-
-        // Canonical form: kind + non-header, non-dur values in wire order.
-        let mut canonical = kind.clone();
-        for (k, v) in fields {
-            if matches!(k.as_str(), "v" | "seq" | "t_ns" | "kind" | "dur_ns") {
-                continue;
-            }
-            canonical.push('|');
-            match v {
-                JsonValue::Str(x) => canonical.push_str(x),
-                JsonValue::UInt(n) => canonical.push_str(&n.to_string()),
-                JsonValue::Bool(b) => canonical.push_str(if *b { "true" } else { "false" }),
-            }
-        }
-        self.hash_event(&canonical);
-        self.note_kind(&kind);
-
-        let dur = u64of("dur_ns");
-        match kind.as_str() {
-            "run_begin" => {
-                self.analysis.label = s("label").to_string();
-                self.analysis.dataset = s("dataset").to_string();
-                self.analysis.model = s("model").to_string();
-                self.analysis.queries = u64of("queries");
-                self.analysis.seed = u64of("seed");
-                self.open(RUN_LABEL);
-            }
-            "run_end" => self.close(RUN_LABEL, dur),
-            "iter_begin" => self.open(ITERATION_LABEL),
-            "iter_end" => {
-                self.close(ITERATION_LABEL, dur);
-                self.analysis.iterations += 1;
-                if get("failed") == Some(&JsonValue::Bool(true)) {
-                    self.analysis.failed_iterations += 1;
-                }
-            }
-            "stage_begin" => self.open(s("stage")),
-            "stage_end" => self.close(s("stage"), dur),
-            "counter" => {
-                *self
-                    .analysis
-                    .counters
-                    .entry(s("counter").to_string())
-                    .or_default() += u64of("delta");
-            }
-            "usage" => {
-                self.usage(
-                    s("model"),
-                    u64of("prompt_tokens"),
-                    u64of("completion_tokens"),
-                    uint("cost_nanousd"),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    /// Apply one live event (the [`TraceSink`] path). Must mirror
-    /// [`apply_fields`](Self::apply_fields) exactly — the canonical digest
-    /// strings use the same wire-field order as `jsonl::render_line`.
-    fn apply_event(&mut self, event: &Event, dur_ns: Option<u64>) {
-        let canonical = match event {
-            Event::RunBegin {
-                label,
-                dataset,
-                model,
-                queries,
-                seed,
-            } => format!("run_begin|{label}|{dataset}|{model}|{queries}|{seed}"),
-            Event::RunEnd {
-                iterations,
-                failed,
-                lfs,
-            } => format!("run_end|{iterations}|{failed}|{lfs}"),
-            Event::IterationBegin { iter, instance } => {
-                format!("iter_begin|{iter}|{instance}")
-            }
-            Event::IterationEnd {
-                iter,
-                accepted,
-                rejected,
-                failed,
-            } => format!("iter_end|{iter}|{accepted}|{rejected}|{failed}"),
-            Event::StageBegin { iter, stage } => format!("stage_begin|{iter}|{stage}"),
-            Event::StageEnd { iter, stage } => format!("stage_end|{iter}|{stage}"),
-            Event::Counter { counter, delta } => format!("counter|{counter}|{delta}"),
-            Event::Usage {
-                model,
-                prompt_tokens,
-                completion_tokens,
-                cost_nanousd,
-            } => format!("usage|{model}|{prompt_tokens}|{completion_tokens}|{cost_nanousd}"),
-            Event::Message { text } => format!("message|{text}"),
-        };
-        self.hash_event(&canonical);
-        self.note_kind(event.kind());
-
-        let dur = dur_ns.unwrap_or(0);
         match event {
             Event::RunBegin {
                 label,
@@ -477,45 +306,23 @@ impl SpanTreeBuilder {
                 queries,
                 seed,
             } => {
-                self.analysis.label = label.clone();
-                self.analysis.dataset = dataset.clone();
-                self.analysis.model = model.clone();
-                self.analysis.queries = *queries;
-                self.analysis.seed = *seed;
-                self.open(RUN_LABEL);
+                let a = &mut self.analysis;
+                a.label.clone_from(label);
+                a.dataset.clone_from(dataset);
+                a.model.clone_from(model);
+                a.queries = *queries;
+                a.seed = *seed;
             }
-            Event::RunEnd { .. } => self.close(RUN_LABEL, dur),
-            Event::IterationBegin { .. } => self.open(ITERATION_LABEL),
-            Event::IterationEnd { failed, .. } => {
-                self.close(ITERATION_LABEL, dur);
-                self.analysis.iterations += 1;
-                if *failed {
-                    self.analysis.failed_iterations += 1;
+            Event::Usage { cost_nanousd, .. } => {
+                // Attributed to the innermost open span (the root if none).
+                let idx = self.stack.last().copied().unwrap_or(0);
+                if let Some(node) = self.nodes.get_mut(idx) {
+                    node.cost_nanousd += cost_nanousd;
+                    node.calls += 1;
                 }
             }
-            Event::StageBegin { stage, .. } => self.open(stage.name()),
-            Event::StageEnd { stage, .. } => self.close(stage.name(), dur),
-            Event::Counter { counter, delta } => {
-                *self
-                    .analysis
-                    .counters
-                    .entry(counter.name().to_string())
-                    .or_default() += delta;
-            }
-            Event::Usage {
-                model,
-                prompt_tokens,
-                completion_tokens,
-                cost_nanousd,
-            } => self.usage(model, *prompt_tokens, *completion_tokens, *cost_nanousd),
-            Event::Message { .. } => {}
+            _ => {}
         }
-    }
-}
-
-impl TraceSink for SpanTreeBuilder {
-    fn record(&mut self, record: &Record<'_>) {
-        self.apply_event(record.event, record.dur_ns);
     }
 }
 
@@ -641,7 +448,7 @@ mod tests {
         let iteration = &run.children[1];
         assert_eq!(iteration.children[0].label, "generate");
         assert_eq!(iteration.count, 1);
-        assert_eq!(a.iterations, 1);
+        assert_eq!(a.metrics.iterations, 1);
         assert_eq!(a.dataset, "youtube");
         assert_eq!(a.seed, 7);
     }
@@ -656,8 +463,11 @@ mod tests {
         assert_eq!(a.root.subtree_cost_nanousd(), a.total_cost_nanousd());
         assert_eq!(a.total_cost_nanousd(), 190_000);
         // The model-call histogram sampled the generate span's duration.
-        assert_eq!(a.model_call_hists["sim"].count(), 1);
-        assert_eq!(a.model_call_hists["sim"].sum_ns(), generate.total_ns);
+        assert_eq!(a.metrics.model_call_hists["sim"].count(), 1);
+        assert_eq!(
+            a.metrics.model_call_hists["sim"].sum_ns(),
+            generate.total_ns
+        );
     }
 
     #[test]

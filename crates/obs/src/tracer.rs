@@ -1,7 +1,7 @@
 //! The timing layer: stamps events, matches spans, fans out to sinks.
 
 use crate::clock::Clock;
-use crate::event::{Event, Stage};
+use crate::event::{Event, SpanEdge, SpanKey};
 
 /// One stamped event as delivered to a [`TraceSink`].
 #[derive(Debug, Clone, Copy)]
@@ -26,14 +26,6 @@ pub trait TraceSink {
     fn finish(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// Identity of an open span, for matching end events to their begins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpanKey {
-    Run,
-    Iteration(u64),
-    Stage(u64, Stage),
 }
 
 /// Stamps each incoming [`Event`] with a sequence number and a clock
@@ -93,35 +85,19 @@ impl Tracer {
 impl crate::RunObserver for Tracer {
     fn on_event(&mut self, event: &Event) {
         let t_ns = self.clock.now_ns();
-        let dur_ns = match event {
-            Event::RunBegin { .. } => {
-                self.open.push((SpanKey::Run, t_ns));
-                None
-            }
-            Event::IterationBegin { iter, .. } => {
-                self.open.push((SpanKey::Iteration(*iter), t_ns));
-                None
-            }
-            Event::StageBegin { iter, stage } => {
-                self.open.push((SpanKey::Stage(*iter, *stage), t_ns));
+        let dur_ns = match event.span_edge() {
+            Some(SpanEdge::Open(key)) => {
+                self.open.push((key, t_ns));
                 None
             }
             // An unmatched end (producer bug) gets duration 0 rather than
             // being dropped: the trace stays complete and the validator
             // will flag the broken nesting.
-            Event::RunEnd { .. } => Some(
-                self.close_span(SpanKey::Run)
+            Some(SpanEdge::Close(key)) => Some(
+                self.close_span(key)
                     .map_or(0, |begin| t_ns.saturating_sub(begin)),
             ),
-            Event::IterationEnd { iter, .. } => Some(
-                self.close_span(SpanKey::Iteration(*iter))
-                    .map_or(0, |begin| t_ns.saturating_sub(begin)),
-            ),
-            Event::StageEnd { iter, stage } => Some(
-                self.close_span(SpanKey::Stage(*iter, *stage))
-                    .map_or(0, |begin| t_ns.saturating_sub(begin)),
-            ),
-            Event::Counter { .. } | Event::Usage { .. } | Event::Message { .. } => None,
+            None => None,
         };
         let record = Record {
             seq: self.seq,
@@ -153,6 +129,7 @@ impl crate::RunObserver for Tracer {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::event::Stage;
     use crate::RunObserver;
     use std::sync::{Arc, Mutex};
 

@@ -3,8 +3,8 @@
 //! Every request is one flat JSON object on one line; the daemon answers
 //! with one line per request — except `status` without a `job` field,
 //! which answers a header line (`"jobs":N`) followed by exactly `N` job
-//! lines. The dialect is the trace-schema subset parsed by
-//! [`datasculpt_obs::schema::parse_object`]: strings, unsigned integers,
+//! lines. The dialect is the trace-schema subset read by
+//! [`datasculpt_obs::schema::Fields`]: strings, unsigned integers,
 //! and booleans. There are no floats on the wire — the dataset scale
 //! factor travels as a *string* (`"scale":"0.25"`) and is converted to
 //! `f64` bits at the boundary.
@@ -19,12 +19,14 @@
 //!
 //! Optional submit fields (with defaults): `config` (`base`), `model`
 //! (`gpt-3.5`), `seed` (`1`), `queries` (`8`), `scale` (`"1"`),
-//! `budget_nanousd` (`0` — ride the tenant's existing budget).
+//! `budget_nanousd` (`0` — ride the tenant's existing budget). A default
+//! applies only to an absent field; a present field of the wrong type is
+//! an error.
 
 use crate::job::JobStatus;
 use crate::service::{JobRequest, RoundReport};
 use datasculpt_obs::jsonl::escape_json;
-use datasculpt_obs::schema::{parse_object, JsonValue};
+use datasculpt_obs::schema::Fields;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,56 +51,32 @@ pub enum Request {
 
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_object(line)?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let text = |key: &str| -> Result<String, String> {
-        match get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            Some(_) => Err(format!("field '{key}' must be a string")),
-            None => Err(format!("missing field '{key}'")),
-        }
-    };
-    let uint_opt = |key: &str| -> Result<Option<u128>, String> {
-        match get(key) {
-            Some(JsonValue::UInt(n)) => Ok(Some(*n)),
-            Some(_) => Err(format!("field '{key}' must be an unsigned integer")),
-            None => Ok(None),
-        }
-    };
-    let narrow_opt = |key: &str| -> Result<Option<u64>, String> {
-        match uint_opt(key)? {
-            Some(n) => u64::try_from(n)
-                .map(Some)
-                .map_err(|_| format!("field '{key}' out of u64 range")),
-            None => Ok(None),
-        }
-    };
-    match text("op")?.as_str() {
+    let f = Fields::parse(line)?;
+    match f.str("op")? {
         "submit" => {
-            let scale_text = match get("scale") {
-                Some(JsonValue::Str(s)) => s.clone(),
-                Some(_) => return Err("field 'scale' must be a string like \"0.25\"".into()),
-                None => "1".into(),
-            };
+            let scale_text = f
+                .opt_str("scale")
+                .map_err(|_| "field 'scale' must be a string like \"0.25\"")?
+                .unwrap_or("1");
             let scale: f64 = scale_text
                 .parse()
                 .map_err(|_| format!("unparseable scale '{scale_text}'"))?;
             Ok(Request::Submit(JobRequest {
-                tenant: text("tenant")?,
-                dataset: text("dataset")?,
-                config: text("config").unwrap_or_else(|_| "base".into()),
-                model: text("model").unwrap_or_else(|_| "gpt-3.5".into()),
-                seed: narrow_opt("seed")?.unwrap_or(1),
+                tenant: f.str("tenant")?.to_string(),
+                dataset: f.str("dataset")?.to_string(),
+                config: f.opt_str("config")?.unwrap_or("base").to_string(),
+                model: f.opt_str("model")?.unwrap_or("gpt-3.5").to_string(),
+                seed: f.opt_u64("seed")?.unwrap_or(1),
                 scale_bits: scale.to_bits(),
-                queries: narrow_opt("queries")?.unwrap_or(8),
-                budget_nanousd: uint_opt("budget_nanousd")?.unwrap_or(0),
+                queries: f.opt_u64("queries")?.unwrap_or(8),
+                budget_nanousd: f.opt_uint("budget_nanousd")?.unwrap_or(0),
             }))
         }
         "status" => Ok(Request::Status {
-            job: narrow_opt("job")?,
+            job: f.opt_u64("job")?,
         }),
         "cancel" => Ok(Request::Cancel {
-            job: narrow_opt("job")?.ok_or("cancel requires a 'job' field")?,
+            job: f.opt_u64("job")?.ok_or("cancel requires a 'job' field")?,
         }),
         "drain" => Ok(Request::Drain),
         "ping" => Ok(Request::Ping),
@@ -232,6 +210,24 @@ mod tests {
     }
 
     #[test]
+    fn a_wrong_typed_optional_field_is_an_error_not_its_default() {
+        let base = "{\"op\":\"submit\",\"tenant\":\"t\",\"dataset\":\"youtube\"";
+        for (field, value) in [
+            ("config", "5"),
+            ("model", "true"),
+            ("seed", "\"1\""),
+            ("queries", "false"),
+            ("budget_nanousd", "\"9\""),
+        ] {
+            let line = format!("{base},\"{field}\":{value}}}");
+            let err = parse_request(&line).expect_err(&line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
+        let both = format!("{base},\"config\":5,\"model\":true}}");
+        assert!(parse_request(&both).is_err(), "{both}");
+    }
+
+    #[test]
     fn responses_are_single_flat_json_lines() {
         let status = JobStatus {
             spec: JobSpec {
@@ -263,7 +259,7 @@ mod tests {
             render_drained(&RoundReport::default()),
             render_pong(),
         ] {
-            datasculpt_obs::schema::parse_object(&rendered).expect("self-parse");
+            Fields::parse(&rendered).expect("self-parse");
         }
     }
 }

@@ -2,15 +2,15 @@
 //! state transitions, replayed on daemon start so a crash loses nothing.
 //!
 //! Each line is a flat JSON object in the same dialect as the trace
-//! schema (strings, unsigned integers, booleans — parsed by
-//! [`datasculpt_obs::schema::parse_object`]). Records are synced before
+//! schema (strings, unsigned integers, booleans — read through
+//! [`datasculpt_obs::schema::Fields`]). Records are synced before
 //! the daemon acknowledges the operation; a line torn by a crash inside
 //! `write(2)` is detected on replay and dropped (the client never got an
 //! ack for it), mirroring the response store's torn-tail recovery.
 
 use crate::job::{JobSpec, JobState};
 use datasculpt_obs::jsonl::escape_json;
-use datasculpt_obs::schema::{parse_object, JsonValue};
+use datasculpt_obs::schema::Fields;
 use datasculpt_store::{KillSwitch, StoreError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -214,46 +214,29 @@ fn render_state(
 }
 
 fn parse_record(line: &str) -> Result<RegistryRecord, String> {
-    let fields = parse_object(line)?;
-    let get =
-        |key: &str| -> Option<&JsonValue> { fields.iter().find(|(k, _)| k == key).map(|(_, v)| v) };
-    let uint = |key: &str| -> Result<u128, String> {
-        match get(key) {
-            Some(JsonValue::UInt(n)) => Ok(*n),
-            _ => Err(format!("missing integer field '{key}'")),
-        }
-    };
-    let text = |key: &str| -> Result<String, String> {
-        match get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("missing string field '{key}'")),
-        }
-    };
-    let narrow = |key: &str| -> Result<u64, String> {
-        u64::try_from(uint(key)?).map_err(|_| format!("field '{key}' out of u64 range"))
-    };
-    match text("rec")?.as_str() {
+    let f = Fields::parse(line)?;
+    match f.str("rec")? {
         "submit" => Ok(RegistryRecord::Submit {
             spec: JobSpec {
-                id: narrow("id")?,
-                tenant: text("tenant")?,
-                dataset: text("dataset")?,
-                config: text("config")?,
-                model: text("model")?,
-                seed: narrow("seed")?,
-                scale_bits: narrow("scale_bits")?,
-                queries: narrow("queries")?,
+                id: f.u64("id")?,
+                tenant: f.str("tenant")?.to_string(),
+                dataset: f.str("dataset")?.to_string(),
+                config: f.str("config")?.to_string(),
+                model: f.str("model")?.to_string(),
+                seed: f.u64("seed")?,
+                scale_bits: f.u64("scale_bits")?,
+                queries: f.u64("queries")?,
             },
-            budget_nanousd: uint("budget_nanousd")?,
+            budget_nanousd: f.uint("budget_nanousd")?,
         }),
         "state" => Ok(RegistryRecord::State {
-            id: narrow("id")?,
-            state: JobState::parse(&text("state")?)
+            id: f.u64("id")?,
+            state: JobState::parse(f.str("state")?)
                 .ok_or_else(|| "unknown job state".to_string())?,
-            cost_nanousd: uint("cost_nanousd")?,
-            iterations: narrow("iterations")?,
-            digest: narrow("digest")?,
-            message: text("message")?,
+            cost_nanousd: f.uint("cost_nanousd")?,
+            iterations: f.u64("iterations")?,
+            digest: f.u64("digest")?,
+            message: f.str("message")?.to_string(),
         }),
         other => Err(format!("unknown registry record kind '{other}'")),
     }

@@ -178,7 +178,7 @@ fn attribution_tree_sums_exactly_to_the_ledger() {
     assert_eq!(live.root.subtree_cost_nanousd(), ledger);
     assert_eq!(
         parsed.root.subtree_calls(),
-        parsed.models.values().map(|m| m.calls).sum::<u64>()
+        parsed.metrics.models.values().map(|m| m.calls).sum::<u64>()
     );
 
     // The live sink and the post-hoc parse agree on everything.
