@@ -159,6 +159,18 @@ impl DataSculptConfig {
         }
     }
 
+    /// The preset the CLI's `--config` flag and the serve daemon's
+    /// `config` field name, at `seed`, or an error naming the valid ones.
+    pub fn preset(name: &str, seed: u64) -> Result<DataSculptConfig, String> {
+        match name {
+            "base" => Ok(Self::base(seed)),
+            "cot" => Ok(Self::cot(seed)),
+            "sc" => Ok(Self::sc(seed)),
+            "kate" => Ok(Self::kate(seed)),
+            other => Err(format!("unknown config '{other}' (base|cot|sc|kate)")),
+        }
+    }
+
     /// Display label used in Table 2.
     pub fn label(&self) -> &'static str {
         match (self.icl_strategy, self.samples_per_query, self.style) {
@@ -745,6 +757,27 @@ mod tests {
     fn run_config(dataset: &TextDataset, cfg: DataSculptConfig) -> RunResult {
         let mut llm = SimulatedLlm::new(ModelId::Gpt35Turbo, dataset.generative.clone(), 13);
         DataSculpt::new(dataset, cfg).run(&mut llm).expect("run")
+    }
+
+    #[test]
+    fn preset_names_build_the_configs_they_always_did() {
+        let debug = |c: DataSculptConfig| format!("{c:?}");
+        for (name, build) in [
+            (
+                "base",
+                DataSculptConfig::base as fn(u64) -> DataSculptConfig,
+            ),
+            ("cot", DataSculptConfig::cot),
+            ("sc", DataSculptConfig::sc),
+            ("kate", DataSculptConfig::kate),
+        ] {
+            let preset = DataSculptConfig::preset(name, 9).expect(name);
+            assert_eq!(debug(preset), debug(build(9)), "{name}");
+        }
+        assert_eq!(
+            DataSculptConfig::preset("mega", 9).map(debug),
+            Err("unknown config 'mega' (base|cot|sc|kate)".into())
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! `docs/observability.md`).
 
 use datasculpt::core::eval::evaluate_matrix;
+use datasculpt::obs::schema::Fields;
 use datasculpt::prelude::*;
 use std::process::ExitCode;
 
@@ -262,16 +263,7 @@ fn load_dataset(args: &[String]) -> Result<TextDataset, ExitCode> {
 }
 
 fn parse_model(flags: &Flags) -> Result<ModelId, ExitCode> {
-    match flags.get("--model").unwrap_or("gpt-3.5") {
-        "gpt-3.5" => Ok(ModelId::Gpt35Turbo),
-        "gpt-4" => Ok(ModelId::Gpt4),
-        "llama-7b" => Ok(ModelId::Llama2Chat7b),
-        "llama-13b" => Ok(ModelId::Llama2Chat13b),
-        "llama-70b" => Ok(ModelId::Llama2Chat70b),
-        other => Err(usage_error(&format!(
-            "unknown model '{other}' (gpt-3.5 gpt-4 llama-7b llama-13b llama-70b)"
-        ))),
-    }
+    ModelId::from_short_name(flags.get("--model").unwrap_or("gpt-3.5")).map_err(|m| usage_error(&m))
 }
 
 fn inspect(args: &[String]) -> ExitCode {
@@ -419,12 +411,9 @@ fn run(args: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(m) => return usage_error(&m),
     };
-    let mut config = match flags.get("--config").unwrap_or("base") {
-        "base" => DataSculptConfig::base(seed),
-        "cot" => DataSculptConfig::cot(seed),
-        "sc" => DataSculptConfig::sc(seed),
-        "kate" => DataSculptConfig::kate(seed),
-        other => return usage_error(&format!("unknown config '{other}' (base|cot|sc|kate)")),
+    let mut config = match DataSculptConfig::preset(flags.get("--config").unwrap_or("base"), seed) {
+        Ok(config) => config,
+        Err(m) => return usage_error(&m),
     };
     config.num_queries = match flags.parse_strict("--queries", config.num_queries) {
         Ok(v) => v,
@@ -1108,30 +1097,15 @@ fn serve_request(flags: &Flags, line: &str) -> Result<Vec<String>, ExitCode> {
 
 /// How many job lines follow a `{"ok":true,"jobs":N}` status header.
 fn reply_job_count(header: &str) -> u128 {
-    use datasculpt::obs::schema::JsonValue;
-    let Ok(fields) = datasculpt::obs::schema::parse_object(header) else {
-        return 0;
-    };
-    fields
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("jobs", JsonValue::UInt(n)) => Some(*n),
-            _ => None,
-        })
+    Fields::parse(header)
+        .and_then(|f| f.uint("jobs"))
         .unwrap_or(0)
 }
 
 /// True when a reply line carries `"ok":true`.
 fn reply_ok(line: &str) -> bool {
-    use datasculpt::obs::schema::JsonValue;
-    datasculpt::obs::schema::parse_object(line)
-        .ok()
-        .and_then(|fields| {
-            fields.into_iter().find_map(|(k, v)| match (k.as_str(), v) {
-                ("ok", JsonValue::Bool(b)) => Some(b),
-                _ => None,
-            })
-        })
+    Fields::parse(line)
+        .and_then(|f| f.bool("ok"))
         .unwrap_or(false)
 }
 

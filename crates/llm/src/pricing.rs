@@ -25,6 +25,21 @@ impl ModelId {
         ModelId::Llama2Chat70b,
     ];
 
+    /// The model the CLI's `--model` flag and the serve daemon's `model`
+    /// field name by `name`, or an error naming the valid short names.
+    pub fn from_short_name(name: &str) -> Result<ModelId, String> {
+        match name {
+            "gpt-3.5" => Ok(ModelId::Gpt35Turbo),
+            "gpt-4" => Ok(ModelId::Gpt4),
+            "llama-7b" => Ok(ModelId::Llama2Chat7b),
+            "llama-13b" => Ok(ModelId::Llama2Chat13b),
+            "llama-70b" => Ok(ModelId::Llama2Chat70b),
+            other => Err(format!(
+                "unknown model '{other}' (gpt-3.5 gpt-4 llama-7b llama-13b llama-70b)"
+            )),
+        }
+    }
+
     /// API model string.
     pub fn api_name(&self) -> &'static str {
         match self {
@@ -107,6 +122,23 @@ impl PricingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn short_names_select_the_models_they_always_did() {
+        for (name, id) in [
+            ("gpt-3.5", ModelId::Gpt35Turbo),
+            ("gpt-4", ModelId::Gpt4),
+            ("llama-7b", ModelId::Llama2Chat7b),
+            ("llama-13b", ModelId::Llama2Chat13b),
+            ("llama-70b", ModelId::Llama2Chat70b),
+        ] {
+            assert_eq!(ModelId::from_short_name(name), Ok(id));
+        }
+        assert_eq!(
+            ModelId::from_short_name("gpt-99"),
+            Err("unknown model 'gpt-99' (gpt-3.5 gpt-4 llama-7b llama-13b llama-70b)".into())
+        );
+    }
 
     #[test]
     fn paper_footnote_rates() {

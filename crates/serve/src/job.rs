@@ -40,27 +40,12 @@ impl JobSpec {
 
     /// Parse the model short name (the CLI's `--model` vocabulary).
     pub fn model_id(&self) -> Result<ModelId, String> {
-        match self.model.as_str() {
-            "gpt-3.5" => Ok(ModelId::Gpt35Turbo),
-            "gpt-4" => Ok(ModelId::Gpt4),
-            "llama-7b" => Ok(ModelId::Llama2Chat7b),
-            "llama-13b" => Ok(ModelId::Llama2Chat13b),
-            "llama-70b" => Ok(ModelId::Llama2Chat70b),
-            other => Err(format!(
-                "unknown model '{other}' (gpt-3.5 gpt-4 llama-7b llama-13b llama-70b)"
-            )),
-        }
+        ModelId::from_short_name(&self.model)
     }
 
     /// Build the pipeline configuration this job runs with.
     pub fn pipeline_config(&self) -> Result<DataSculptConfig, String> {
-        let mut config = match self.config.as_str() {
-            "base" => DataSculptConfig::base(self.seed),
-            "cot" => DataSculptConfig::cot(self.seed),
-            "sc" => DataSculptConfig::sc(self.seed),
-            "kate" => DataSculptConfig::kate(self.seed),
-            other => return Err(format!("unknown config '{other}' (base|cot|sc|kate)")),
-        };
+        let mut config = DataSculptConfig::preset(&self.config, self.seed)?;
         config.num_queries = self.queries as usize;
         config.threads = 1; // parallelism lives in the scheduler pool
         Ok(config)
