@@ -1,7 +1,7 @@
 //! Injectable time sources for span durations.
 //!
-//! Everything outside this file is wall-clock free: the [`Tracer`]
-//! (crate::Tracer) reads time only through the [`Clock`] trait, so tests
+//! Everything outside this file is wall-clock free: the
+//! [`Tracer`](crate::Tracer) reads time only through the [`Clock`] trait, so tests
 //! and golden files run on the fully deterministic [`ManualClock`] while
 //! production runs use [`SystemClock`]. This file is the **only** place in
 //! the workspace outside `crates/bench` where ds-lint's `wall-clock` rule

@@ -480,11 +480,6 @@ pub(crate) enum FieldValue<'a> {
     Bool(bool),
 }
 
-/// Span-kind label for the run span in trees and histograms.
-pub const RUN_LABEL: &str = "run";
-/// Span-kind label for iteration spans in trees and histograms.
-pub const ITERATION_LABEL: &str = "iteration";
-
 /// Identity of a span: what a begin event opens and its end event must
 /// close. The [`Tracer`](crate::Tracer) matches durations by it and the
 /// validator checks strict nesting by it.
@@ -499,12 +494,12 @@ pub(crate) enum SpanKey {
 }
 
 impl SpanKey {
-    /// Span-kind label in trees and histograms: [`RUN_LABEL`],
-    /// [`ITERATION_LABEL`], or the stage's wire name.
+    /// Span-kind label in trees and histograms: `run`, `iteration`, or
+    /// the stage's wire name.
     pub(crate) fn label(&self) -> &'static str {
         match self {
-            SpanKey::Run => RUN_LABEL,
-            SpanKey::Iteration(_) => ITERATION_LABEL,
+            SpanKey::Run => "run",
+            SpanKey::Iteration(_) => "iteration",
             SpanKey::Stage(_, stage) => stage.name(),
         }
     }

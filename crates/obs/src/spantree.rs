@@ -24,8 +24,6 @@
 //! `seq`/`t_ns`/`dur_ns`) used by `trace diff` — two same-seed runs
 //! produce the same digest at any thread count and wall-clock speed.
 
-pub use crate::event::{ITERATION_LABEL, RUN_LABEL};
-
 use crate::event::{Event, FieldValue, SpanEdge};
 use crate::hash::Fnv64;
 use crate::metrics::{MetricsAggregate, MetricsSnapshot};
